@@ -46,13 +46,18 @@ func requireDurable(fn tenantHandlerFunc) tenantHandlerFunc {
 	return func(ts *tenantState, w http.ResponseWriter, r *http.Request) {
 		if err := ts.degradedErr(); err != nil {
 			obsDegradedRejects.Inc()
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(store.RetryAfter.Seconds()))))
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("tenant %s is degraded read-only (mutations rejected until the journal recovers): %v", ts.t.Name(), err))
+			writeDegraded(w, ts, err)
 			return
 		}
 		fn(ts, w, r)
 	}
+}
+
+// writeDegraded answers 503 for a fail-stopped tenant journal.
+func writeDegraded(w http.ResponseWriter, ts *tenantState, err error) {
+	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(store.RetryAfter.Seconds()))))
+	writeErr(w, http.StatusServiceUnavailable,
+		fmt.Errorf("tenant %s is degraded read-only (mutations rejected until the journal recovers): %v", ts.t.Name(), err))
 }
 
 // DegradedTenants lists the tenants whose journals are fail-stopped,

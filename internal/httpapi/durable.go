@@ -42,8 +42,18 @@ var obsSnapErrs = obs.Default().Counter("httpapi.snapshot_errors")
 // composite snapshot capture.
 type tenantJournal struct{ ts *tenantState }
 
-func (j tenantJournal) Record(typ string, data any) error {
-	_, err := j.ts.store.Append(typ, data)
+func (j tenantJournal) Record(typ string, data any) error { return j.ts.journalFleet(typ, data) }
+
+// journalFleet appends one fleet record. Every fleet write holds
+// fleetState.mu; inside a reconcile pass (fleetState.batch) the record
+// joins the pass's commit group, elsewhere it is synced before the
+// mutation is acknowledged.
+func (ts *tenantState) journalFleet(typ string, data any) error {
+	if ts.fleet.batch {
+		_, err := ts.store.AppendNoSync(typ, data)
+		return err
+	}
+	_, err := ts.store.Append(typ, data)
 	return err
 }
 
@@ -234,7 +244,7 @@ func (ts *tenantState) journalFleetCreate(fleet *manager.Locked) error {
 	if err != nil {
 		return err
 	}
-	if _, err := ts.store.Append(manager.RecFleetCreate, genesis); err != nil {
+	if err := ts.journalFleet(manager.RecFleetCreate, genesis); err != nil {
 		return fmt.Errorf("httpapi: created fleet but %w: %v", manager.ErrJournal, err)
 	}
 	fleet.AttachJournal(tenantJournal{ts})

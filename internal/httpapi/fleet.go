@@ -40,6 +40,9 @@ type fleetState struct {
 	mu sync.Mutex
 	ts *tenantState
 	l  *manager.Locked
+	// batch is set while a reconcile pass holds mu: fleet records join
+	// the pass's commit group instead of syncing one by one.
+	batch bool
 }
 
 // fleetFn adapts a fleetState method to the tenant wrapper shape.

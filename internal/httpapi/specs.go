@@ -121,8 +121,9 @@ func (ss *specState) list(w http.ResponseWriter, _ *http.Request) {
 }
 
 // put accepts one spec revision: validate (Compile is the single
-// gate), journal the assigned generation, then apply — never the other
-// way round.
+// gate, and no other spec of the tenant may list the same workflow),
+// journal the assigned generation, then apply — never the other way
+// round. The compiled form is kept for the first pass.
 func (ss *specState) put(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Name string         `json:"name"`
@@ -135,13 +136,19 @@ func (ss *specState) put(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("spec needs a name"))
 		return
 	}
-	if _, err := req.Spec.Compile(); err != nil {
+	c, err := req.Spec.Compile()
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	ss.ts.mutate(func() {
 		ss.mu.Lock()
 		defer ss.mu.Unlock()
+		if id, owner, ok := ss.set.Claimed(req.Name, req.Spec); ok {
+			writeErr(w, http.StatusBadRequest,
+				fmt.Errorf("workflow %q is already owned by spec %q of this tenant", id, owner))
+			return
+		}
 		gen := ss.set.NextGeneration(req.Name)
 		if ss.ts.store != nil {
 			rec := reconcile.SpecRecord{Name: req.Name, Generation: gen, Spec: req.Spec}
@@ -151,7 +158,7 @@ func (ss *specState) put(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		ss.set.Put(req.Name, req.Spec)
+		ss.set.PutCompiled(req.Name, req.Spec, c)
 		v, _ := ss.set.Get(req.Name)
 		writeJSON(w, http.StatusOK, statusOf(v))
 	})
@@ -254,6 +261,13 @@ func (ss *specState) reconcile(w http.ResponseWriter, r *http.Request) {
 			lines = append(lines, a.String())
 		}
 	})
+	if err := ss.ts.degradedErr(); err != nil {
+		// A record or commit fsync failed during the burst: the journal
+		// fail-stopped, and what the passes did is indeterminate until
+		// the recovery probe re-anchors it.
+		writeDegraded(w, ss.ts, err)
+		return
+	}
 	out := map[string]any{
 		"converged": last.Converged,
 		"lag":       last.Lag,
@@ -269,6 +283,14 @@ func (ss *specState) reconcile(w http.ResponseWriter, r *http.Request) {
 // fleet. Caller holds the tenant's snapshot read-lock (ts.mutate);
 // this takes specState.mu and fleetState.mu for the pass so spec
 // mutations and imperative fleet calls cannot interleave with it.
+//
+// The pass is one commit group. Its fleet records (genesis, deploys,
+// removes, remaps) are written without an fsync; the observed-
+// generation record stays a synced append, so its fsync commits the
+// pass before the advance applies, and a pass that does not advance
+// ends with one explicit Sync. Both locks are held until that commit,
+// and every reader of spec or fleet state takes one of them, so no
+// reader sees pass state that is not on stable storage.
 func (ss *specState) runPassLocked(t float64) reconcile.PassResult {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -277,12 +299,21 @@ func (ss *specState) runPassLocked(t float64) reconcile.PassResult {
 	// would only burn 503s. The hold lifts on the pass after the
 	// recovery probe reopens the journal.
 	ss.rec.SetHold(ss.ts.degradedErr() != nil)
-	ss.ts.fleet.mu.Lock()
-	defer ss.ts.fleet.mu.Unlock()
-	ss.exec.Fleet = ss.ts.fleet.l
+	fs := ss.ts.fleet
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.batch = true
+	defer func() { fs.batch = false }() // also when a pass panics
+	ss.exec.Fleet = fs.l
 	ss.observeLiveWindow(t)
 	res := ss.rec.RunPass(t)
-	ss.ts.fleet.l = ss.exec.Fleet
+	fs.l = ss.exec.Fleet
+	if ss.ts.store != nil {
+		if err := ss.ts.store.Sync(); err != nil {
+			res.Converged = false
+			res.Actions = append(res.Actions, reconcile.Action{Step: reconcile.Step{Kind: "commit"}, Err: err.Error()})
+		}
+	}
 	return res
 }
 

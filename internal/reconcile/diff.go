@@ -25,6 +25,10 @@ type Observed struct {
 	// Incidents are chaos events reported since the last pass (crashes
 	// and rejoins awaiting a reconciliation decision).
 	Incidents []Incident
+	// Listed holds every workflow id some spec of the tenant lists; a
+	// deployed workflow this spec does not want is removed only when no
+	// spec lists it. Nil when the spec is the tenant's only one.
+	Listed map[string]bool
 }
 
 // slo returns the signal the SLO target is compared against: the live
@@ -146,13 +150,13 @@ func Diff(v Versioned, c *Compiled, obs Observed) []Step {
 	}
 	var extras []string
 	for _, id := range obs.Workflows {
-		if _, want := c.Workflows[id]; !want {
+		if _, want := c.Workflows[id]; !want && !obs.Listed[id] {
 			extras = append(extras, id)
 		}
 	}
 	sort.Strings(extras)
 	for _, id := range extras {
-		steps = append(steps, Step{Kind: StepRemove, Workflow: id, Reason: "deployed, not in spec"})
+		steps = append(steps, Step{Kind: StepRemove, Workflow: id, Reason: "deployed, in no spec"})
 	}
 
 	// Performance: only consulted once the structure is settled —

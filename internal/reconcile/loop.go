@@ -177,12 +177,13 @@ func (r *Reconciler) RunPass(t float64) PassResult {
 	budget := r.cfg.actionsPerPass()
 	// Incidents are fleet-wide, not per-spec: hand them to the first
 	// spec's pass (specs share the tenant fleet).
+	listed := r.set.listed()
 	for i, v := range r.set.List() {
 		specIncidents := incidents
 		if i > 0 {
 			specIncidents = nil
 		}
-		converged := r.reconcileSpec(v, specIncidents, livePen, escalate, &budget, &res)
+		converged := r.reconcileSpec(v, specIncidents, listed, livePen, escalate, &budget, &res)
 		if !converged {
 			res.Converged = false
 		}
@@ -205,7 +206,7 @@ func (r *Reconciler) RunPass(t float64) PassResult {
 
 // reconcileSpec runs one spec's observe→diff→act cycle and reports
 // whether the spec converged structurally this pass.
-func (r *Reconciler) reconcileSpec(v Versioned, incidents []Incident, livePen float64, escalate bool, budget *int, res *PassResult) bool {
+func (r *Reconciler) reconcileSpec(v Versioned, incidents []Incident, listed map[string]bool, livePen float64, escalate bool, budget *int, res *PassResult) bool {
 	c, gen, err := r.set.Compiled(v.Name)
 	if err != nil {
 		// A spec that stopped compiling (hand-edited snapshot) can never
@@ -219,6 +220,7 @@ func (r *Reconciler) reconcileSpec(v Versioned, incidents []Incident, livePen fl
 	ob := r.exec.Observe()
 	ob.LivePenalty = livePen
 	ob.Incidents = incidents
+	ob.Listed = listed
 	steps := Diff(v, c, ob)
 
 	applied := 0
@@ -260,6 +262,7 @@ func (r *Reconciler) reconcileSpec(v Versioned, incidents []Incident, livePen fl
 	// were consumed above). Performance steps do not gate the advance.
 	ob = r.exec.Observe()
 	ob.LivePenalty = livePen
+	ob.Listed = listed
 	structural := 0
 	for _, s := range Diff(v, c, ob) {
 		if s.Structural() {

@@ -260,6 +260,42 @@ func TestReconcilerConvergesAndTracksRevisions(t *testing.T) {
 	}
 }
 
+// TestSpecsSharingTenantDoNotThrash: two specs on one fleet own
+// disjoint workflow sets. Neither removes the other's workflows, both
+// converge, and the pass after convergence has zero actions. Withdrawing
+// a spec hands its workflows back to removal.
+func TestSpecsSharingTenantDoNotThrash(t *testing.T) {
+	sp := demoSpec(t)
+	web, batch := sp, sp
+	web.Workflows = sp.Workflows[:2]
+	batch.Workflows = sp.Workflows[2:]
+	set, exec, rec := newTestReconciler(Config{})
+	set.Put("web", web)
+	if id, owner, ok := set.Claimed("batch", batch); ok {
+		t.Fatalf("disjoint spec reported as claiming %q of %q", id, owner)
+	}
+	set.Put("batch", batch)
+
+	if res := rec.RunPass(0); !res.Converged || res.Lag != 0 {
+		t.Fatalf("two specs on one tenant did not converge: %+v", res)
+	}
+	if got := exec.Fleet.Workflows(); len(got) != 3 {
+		t.Fatalf("fleet runs %v, want both specs' workflows", got)
+	}
+	if res := rec.RunPass(1); len(res.Actions) != 0 {
+		t.Fatalf("pass after convergence acted: %v", res.Actions)
+	}
+	if id, owner, ok := set.Claimed("batch", sp); !ok || owner != "web" || id != sp.Workflows[0].ID {
+		t.Fatalf("Claimed(batch, all) = %q, %q, %v; want web's first workflow", id, owner, ok)
+	}
+
+	set.Delete("batch")
+	rec.RunPass(2)
+	if got := exec.Fleet.Workflows(); len(got) != 2 {
+		t.Fatalf("after withdrawing batch the fleet runs %v, want web's two workflows", got)
+	}
+}
+
 func TestReconcilerRepairsIncidents(t *testing.T) {
 	sp := demoSpec(t)
 	set, exec, rec := newTestReconciler(Config{})

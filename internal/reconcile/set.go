@@ -81,6 +81,59 @@ func (st *Set) putLocked(name string, sp Spec) uint64 {
 	return v.Generation
 }
 
+// PutCompiled is Put for a revision the caller has already compiled:
+// c, which must be sp.Compile()'s result, is cached as the decoded form
+// of the assigned generation, so the first pass does not decode the
+// spec again. Nothing mutates a Compiled after Compile returns — the
+// fleet copies its network on growth and never edits a workflow — so
+// the cache may share it.
+func (st *Set) PutCompiled(name string, sp Spec, c *Compiled) uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	gen := st.putLocked(name, sp)
+	st.compiled[name] = &compiledGen{gen: gen, c: c}
+	return gen
+}
+
+// Claimed reports the first workflow id sp lists that another spec of
+// the set already lists, and that spec's name. Specs sharing a tenant
+// own disjoint workflow sets; a revision that would share one is
+// refused before it is journaled.
+func (st *Set) Claimed(name string, sp Spec) (id, owner string, ok bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, other := range st.order {
+		if other == name {
+			continue
+		}
+		for _, ws := range st.specs[other].Spec.Workflows {
+			for _, mine := range sp.Workflows {
+				if mine.ID == ws.ID {
+					return ws.ID, other, true
+				}
+			}
+		}
+	}
+	return "", "", false
+}
+
+// listed returns every workflow id some spec of the set lists, or nil
+// when the set holds at most one spec (its own Compiled says it all).
+func (st *Set) listed() map[string]bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.order) < 2 {
+		return nil
+	}
+	ids := map[string]bool{}
+	for _, n := range st.order {
+		for _, ws := range st.specs[n].Spec.Workflows {
+			ids[ws.ID] = true
+		}
+	}
+	return ids
+}
+
 // Delete withdraws a spec; it reports whether the name existed.
 func (st *Set) Delete(name string) bool {
 	st.mu.Lock()

@@ -48,9 +48,9 @@ type Spec struct {
 	// not rebuilt (servers join and fail through reconciliation, not
 	// replacement).
 	Network json.RawMessage `json:"network,omitempty"`
-	// Workflows is the desired portfolio. The spec owns the fleet's
-	// workflow set: ids missing from the fleet are deployed, deployed
-	// ids missing from the spec are removed.
+	// Workflows is the desired portfolio. The tenant's specs own the
+	// fleet's workflow set, each its own disjoint share: ids missing from
+	// the fleet are deployed, deployed ids no spec lists are removed.
 	Workflows []WorkflowSpec `json:"workflows"`
 	// Algorithm optionally pins the placement algorithm used when a
 	// workflow is first deployed (any core registry key). Empty uses the

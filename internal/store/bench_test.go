@@ -53,8 +53,7 @@ func BenchmarkWALAppendDirect(b *testing.B) {
 		if err != nil {
 			b.Fatalf("Marshal: %v", err)
 		}
-		payload := mustMarshal(Record{Seq: uint64(i + 1), Type: "bench", Data: data})
-		if _, err := f.Write(encodeFrame(nil, payload)); err != nil {
+		if _, err := f.Write(appendRecordFrame(nil, uint64(i+1), "bench", data)); err != nil {
 			b.Fatalf("Write: %v", err)
 		}
 	}

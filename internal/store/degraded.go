@@ -40,9 +40,11 @@ const quarantineName = "wal.quarantine"
 
 // failStopLocked makes the store degraded (idempotent — the first
 // fault wins) and returns the sticky error. goodEnd is the
-// acknowledged byte boundary; everything past it is untrusted. The
+// acknowledged byte boundary; everything past it is untrusted,
+// including frames AppendNoSync wrote that no commit acknowledged. The
 // caller holds s.mu.
 func (s *Store) failStopLocked(op string, cause error, goodEnd int64) error {
+	s.pendBytes, s.pendRecords = 0, 0
 	if s.failed == nil {
 		s.failed = fmt.Errorf("%w (%s: %v)", ErrDegraded, op, cause)
 		s.quarantineFrom = goodEnd

@@ -73,6 +73,14 @@ func writeFileAtomic(fsys faultfs.FS, path string, data []byte) (faultfs.Op, err
 	return faultfs.OpSync, syncDir(fsys, filepath.Dir(path))
 }
 
+// WriteFile durably replaces path with data: temp file, fsync, rename,
+// directory fsync. After it returns the file is complete on stable
+// storage; a crash before then leaves the old file or none.
+func WriteFile(fsys faultfs.FS, path string, data []byte) error {
+	_, err := writeFileAtomic(fsys, path, data)
+	return err
+}
+
 // syncDir fsyncs a directory so a just-created or just-renamed entry
 // survives a power cut.
 func syncDir(fsys faultfs.FS, dir string) error {

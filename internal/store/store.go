@@ -145,6 +145,13 @@ type Store struct {
 	snapshots   int64
 	closed      bool
 
+	// pendBytes and pendRecords count the frames AppendNoSync wrote past
+	// the acknowledged boundary (walBytes, lastSeq) that no commit has
+	// covered yet. The next successful commit acknowledges them; a
+	// fail-stop discards them with the rest of the untrusted tail.
+	pendBytes   int64
+	pendRecords int64
+
 	// Degraded-mode state (see degraded.go): failed is the sticky
 	// fail-stop cause, quarantineFrom the acknowledged byte boundary
 	// beyond which the WAL is untrusted.
@@ -231,13 +238,106 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	return s, rec, nil
 }
 
+// File is a companion file Create writes next to a new store's WAL.
+type File struct {
+	Name string
+	Data []byte
+}
+
+// Create makes a new, empty store in dir, which must not hold a WAL
+// yet, and writes the companion files beside it. There is nothing to
+// recover, so Open's scan — the snapshot listing, the WAL read, the
+// temp-file removal — is skipped. Everything is durable when Create
+// returns, dir's entry in its parent included. The fsyncs are ordered
+// so one journal commit carries them all: the WAL and the files are
+// created first, the files' fsyncs flush their bytes together with
+// every directory entry made before them, and the two directory fsyncs
+// after them find nothing left to flush. A crash before Create returns
+// can leave a companion file empty; nothing was acknowledged then, and
+// readers treat an empty companion as absent. On error Create removes
+// what it made, best-effort.
+func Create(dir string, opts Options, files ...File) (_ *Store, err error) {
+	opts = opts.withDefaults()
+	fsys := opts.FS
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
+	}
+	made := []string{dir}
+	var wal faultfs.File
+	var companions []faultfs.File
+	defer func() {
+		for _, h := range companions {
+			h.Close()
+		}
+		if err != nil {
+			if wal != nil {
+				wal.Close()
+			}
+			for i := len(made) - 1; i >= 0; i-- {
+				fsys.Remove(made[i])
+			}
+		}
+	}()
+	// The exclusive WAL create claims the directory before any
+	// companion is touched, so Create never overwrites a live store.
+	walPath := filepath.Join(dir, walName)
+	if wal, err = fsys.OpenFile(walPath, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		return nil, fmt.Errorf("store: creating WAL in %s: %w", dir, err)
+	}
+	made = append(made, walPath)
+	for _, f := range files {
+		path := filepath.Join(dir, f.Name)
+		h, err := fsys.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("store: creating %s: %w", path, err)
+		}
+		made = append(made, path)
+		companions = append(companions, h)
+		if _, err := h.Write(f.Data); err != nil {
+			countFaultOp(faultfs.OpWrite)
+			return nil, fmt.Errorf("store: writing %s: %w", path, err)
+		}
+	}
+	for _, h := range companions {
+		if err := h.Sync(); err != nil {
+			countFaultOp(faultfs.OpSync)
+			return nil, fmt.Errorf("store: syncing %s: %w", dir, err)
+		}
+	}
+	for _, d := range []string{dir, filepath.Dir(dir)} {
+		if err := syncDir(fsys, d); err != nil {
+			countFaultOp(faultfs.OpSync)
+			return nil, fmt.Errorf("store: syncing %s: %w", d, err)
+		}
+	}
+	return &Store{dir: dir, opts: opts, wal: wal, lastSync: opts.now()}, nil
+}
+
 // Dir returns the state directory.
 func (s *Store) Dir() string { return s.dir }
 
 // Append commits one typed record to the WAL and returns its sequence
 // number. data is marshalled to JSON; under SyncAlways the record is on
-// stable storage when Append returns.
+// stable storage when Append returns, together with every record
+// AppendNoSync wrote before it.
 func (s *Store) Append(typ string, data any) (uint64, error) {
+	return s.append(typ, data, true)
+}
+
+// AppendNoSync writes one typed record to the WAL like Append — same
+// framing, same sequence numbering, same fail-stop on a failed write —
+// but leaves it uncommitted: no fsync, and no counter or LastSeq moves.
+// The record is acknowledged by the next successful commit, which is
+// the next Append, Sync or Snapshot; a failed commit fsync fail-stops
+// the store and Reopen quarantines the record with the rest of the
+// unacknowledged tail. A caller batching records into one commit group
+// must keep every reader of the state they describe out until that
+// commit succeeds.
+func (s *Store) AppendNoSync(typ string, data any) (uint64, error) {
+	return s.append(typ, data, false)
+}
+
+func (s *Store) append(typ string, data any, commit bool) (uint64, error) {
 	payload, err := json.Marshal(data)
 	if err != nil {
 		return 0, fmt.Errorf("store: encoding %s record: %w", typ, err)
@@ -254,8 +354,8 @@ func (s *Store) Append(typ string, data any) (uint64, error) {
 	if s.failed != nil {
 		return 0, fmt.Errorf("store: append %s: %w", typ, s.failed)
 	}
-	seq := s.lastSeq + 1
-	frame := encodeFrame(nil, mustMarshal(Record{Seq: seq, Type: typ, Data: payload}))
+	seq := s.lastSeq + uint64(s.pendRecords) + 1
+	frame := appendRecordFrame(make([]byte, 0, frameHeader+len(payload)+len(typ)+48), seq, typ, payload)
 	if len(frame)-frameHeader > s.opts.MaxRecordBytes {
 		return 0, fmt.Errorf("store: %s record of %d bytes exceeds the %d-byte limit", typ, len(frame)-frameHeader, s.opts.MaxRecordBytes)
 	}
@@ -264,32 +364,63 @@ func (s *Store) Append(typ string, data any) (uint64, error) {
 	// acknowledged state exactly as it was, and the store fail-stops —
 	// the partially-written tail is quarantined by Reopen, never
 	// retried on the dirty handle.
-	goodEnd := s.walBytes
 	if _, err := s.wal.Write(frame); err != nil {
 		countFaultOp(faultfs.OpWrite)
-		return 0, fmt.Errorf("store: appending %s record: %w", typ, s.failStopLocked("write", err, goodEnd))
+		return 0, fmt.Errorf("store: appending %s record: %w", typ, s.failStopLocked("write", err, s.walBytes))
 	}
-	if err := s.maybeSync(); err != nil {
-		countFaultOp(faultfs.OpSync)
-		return 0, fmt.Errorf("store: syncing WAL after %s record: %w", typ, s.failStopLocked("fsync", err, goodEnd))
+	s.pendBytes += int64(len(frame))
+	s.pendRecords++
+	if commit {
+		if err := s.commitLocked(); err != nil {
+			return 0, fmt.Errorf("store: syncing WAL after %s record: %w", typ, err)
+		}
 	}
-	s.walBytes += int64(len(frame))
-	s.walRecords++
-	s.lastSeq = seq
-	s.appended++
-	obsAppends.Inc()
 	sp.SetInt("seq", int64(seq))
 	return seq, nil
 }
 
-// mustMarshal encodes a Record; it cannot fail (the payload is already
-// valid JSON and the envelope is plain fields).
-func mustMarshal(r Record) []byte {
-	b, err := json.Marshal(r)
-	if err != nil {
-		panic("store: record envelope unmarshallable: " + err.Error())
+// Sync commits the records AppendNoSync wrote since the last commit:
+// under SyncAlways one fsync puts them all on stable storage before
+// Sync returns. With nothing pending — including after a fail-stop,
+// which discards the group — it does nothing. A failed fsync
+// fail-stops the store exactly as a failed Append does.
+func (s *Store) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pendRecords == 0 {
+		return nil
 	}
-	return b
+	if s.closed {
+		return fmt.Errorf("store: sync: store is closed")
+	}
+	if err := s.commitLocked(); err != nil {
+		return fmt.Errorf("store: syncing WAL: %w", err)
+	}
+	return nil
+}
+
+// commitLocked applies the fsync discipline to every written frame and
+// acknowledges them. A failed fsync fail-stops at the acknowledged
+// boundary, so every frame of the group is quarantined. The caller
+// holds s.mu.
+func (s *Store) commitLocked() error {
+	if err := s.maybeSync(); err != nil {
+		countFaultOp(faultfs.OpSync)
+		return s.failStopLocked("fsync", err, s.walBytes)
+	}
+	s.ackLocked()
+	return nil
+}
+
+// ackLocked moves the written frames into the acknowledged log; the
+// caller holds s.mu and has just committed them.
+func (s *Store) ackLocked() {
+	s.walBytes += s.pendBytes
+	s.walRecords += s.pendRecords
+	s.lastSeq += uint64(s.pendRecords)
+	s.appended += s.pendRecords
+	obsAppends.Add(s.pendRecords)
+	s.pendBytes, s.pendRecords = 0, 0
 }
 
 // maybeSync applies the fsync discipline; the caller holds s.mu.
@@ -349,12 +480,15 @@ func (s *Store) Snapshot(state []byte, coveredSeq uint64) error {
 	// unsynced records at or below coveredSeq, a crash after the rename
 	// but before writeback would lose them from both places. A failed
 	// pre-snapshot fsync therefore fail-stops the journal: acknowledged
-	// records are in doubt on the dirty handle.
-	if s.opts.Sync != SyncAlways {
+	// records are in doubt on the dirty handle. The same fsync commits
+	// any records AppendNoSync wrote, so compaction sees a log with no
+	// uncommitted tail.
+	if s.opts.Sync != SyncAlways || s.pendRecords > 0 {
 		if err := s.fsync(); err != nil {
 			countFaultOp(faultfs.OpSync)
 			return fmt.Errorf("store: syncing WAL before snapshot: %w", s.failStopLocked("fsync", err, s.walBytes))
 		}
+		s.ackLocked()
 	}
 	// A failed snapshot write does NOT fail-stop: the WAL is intact and
 	// fully synced, so the store keeps accepting appends; the attempt's
@@ -393,7 +527,7 @@ func (s *Store) compactLocked(coveredSeq uint64) error {
 	var kept int64
 	for _, r := range scan.records {
 		if r.Seq > coveredSeq {
-			keep = encodeFrame(keep, mustMarshal(r))
+			keep = appendRecordFrame(keep, r.Seq, r.Type, r.Data)
 			kept++
 		}
 	}

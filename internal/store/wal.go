@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 	"time"
 )
 
@@ -79,6 +80,47 @@ func encodeFrame(buf, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
 	buf = append(buf, hdr[:]...)
 	return append(buf, payload...)
+}
+
+// appendRecordFrame appends one framed record to buf and returns it. The
+// payload bytes are exactly what json.Marshal(Record{seq, typ, data})
+// produces, built in one pass: data is the output of json.Marshal (or a
+// payload scanned back from such a record), so it is already compact and
+// HTML-escaped, and encoding/json's re-validation of the RawMessage
+// would copy it unchanged.
+func appendRecordFrame(buf []byte, seq uint64, typ string, data []byte) []byte {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // header, filled in below
+	buf = append(buf, `{"seq":`...)
+	buf = strconv.AppendUint(buf, seq, 10)
+	buf = append(buf, `,"type":`...)
+	buf = appendJSONString(buf, typ)
+	buf = append(buf, `,"data":`...)
+	if len(data) == 0 {
+		buf = append(buf, "null"...)
+	} else {
+		buf = append(buf, data...)
+	}
+	buf = append(buf, '}')
+	payload := buf[start+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
+	return buf
+}
+
+// appendJSONString appends s as encoding/json quotes it. Record types
+// are short ASCII tags that need no escaping; anything else takes the
+// library's path, so the bytes never differ from json.Marshal's.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always encodes
+			return append(buf, b...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // frameAt tries to decode one frame at data[off:]. It returns the

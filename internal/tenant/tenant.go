@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wsdeploy/internal/faultfs"
 	"wsdeploy/internal/obs"
 	"wsdeploy/internal/store"
 )
@@ -244,21 +245,20 @@ func (r *Registry) create(name string, q Quota) (*Tenant, error) {
 	}
 	t := r.newTenant(name, q)
 	if r.cfg.DataDir != "" {
-		dir := filepath.Join(r.cfg.DataDir, name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("tenant: creating %s: %w", dir, err)
-		}
-		if err := r.writeMeta(name, q); err != nil {
+		meta, err := encodeMeta(name, q)
+		if err != nil {
 			return nil, err
 		}
-		st, rec, err := store.Open(dir, r.cfg.Store)
+		// A new namespace has nothing to recover: Create skips Open's
+		// scan and makes the directory, tenant.json and the empty WAL
+		// durable in one commit, so an acknowledged tenant survives a
+		// power cut with its quota.
+		dir := filepath.Join(r.cfg.DataDir, name)
+		st, err := store.Create(dir, r.cfg.Store, store.File{Name: metaName, Data: meta})
 		if err != nil {
-			return nil, fmt.Errorf("tenant: opening store for %s: %w", name, err)
+			return nil, fmt.Errorf("tenant: creating store for %s: %w", name, err)
 		}
 		t.store = st
-		// A freshly created namespace has nothing to replay; recovery
-		// stays nil even though Open returned an (empty) one.
-		_ = rec
 	}
 	r.tenants[name] = t
 	return t, nil
@@ -315,33 +315,39 @@ func (r *Registry) closeLocked() error {
 	return first
 }
 
-// writeMeta persists the tenant's quota atomically (temp → rename).
-func (r *Registry) writeMeta(name string, q Quota) error {
+// fs is the filesystem the registry's metadata goes through: the
+// stores' injectable FS, so disk faults reach tenant.json too.
+func (r *Registry) fs() faultfs.FS {
+	if r.cfg.Store.FS != nil {
+		return r.cfg.Store.FS
+	}
+	return faultfs.OS()
+}
+
+// encodeMeta renders a tenant's metadata file.
+func encodeMeta(name string, q Quota) ([]byte, error) {
 	data, err := json.MarshalIndent(struct {
 		Quota Quota `json:"quota"`
 	}{q}, "", "  ")
 	if err != nil {
-		return fmt.Errorf("tenant: encoding %s metadata: %w", name, err)
+		return nil, fmt.Errorf("tenant: encoding %s metadata: %w", name, err)
 	}
-	path := filepath.Join(r.cfg.DataDir, name, metaName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("tenant: writing %s metadata: %w", name, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("tenant: committing %s metadata: %w", name, err)
-	}
-	return nil
+	return append(data, '\n'), nil
 }
 
-// loadMeta reads a namespace's quota; a missing file (pre-tenancy
-// migration, or a crash between mkdir and writeMeta) falls back to the
-// default quota and is healed on disk.
+// loadMeta reads a namespace's quota. A missing or empty file (a
+// pre-tenancy migration, or a create that crashed before its commit)
+// falls back to the default quota and is healed on disk.
 func (r *Registry) loadMeta(name string) (Quota, error) {
-	raw, err := os.ReadFile(filepath.Join(r.cfg.DataDir, name, metaName))
-	if os.IsNotExist(err) {
-		if werr := r.writeMeta(name, r.cfg.DefaultQuota); werr != nil {
-			return Quota{}, werr
+	path := filepath.Join(r.cfg.DataDir, name, metaName)
+	raw, err := r.fs().ReadFile(path)
+	if os.IsNotExist(err) || (err == nil && len(raw) == 0) {
+		meta, err := encodeMeta(name, r.cfg.DefaultQuota)
+		if err != nil {
+			return Quota{}, err
+		}
+		if err := store.WriteFile(r.fs(), path, meta); err != nil {
+			return Quota{}, fmt.Errorf("tenant: writing %s metadata: %w", name, err)
 		}
 		return r.cfg.DefaultQuota, nil
 	}

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"wsdeploy/internal/faultfs"
+	"wsdeploy/internal/store"
 )
 
 // fakeClock is a manually advanced admission clock.
@@ -248,5 +251,71 @@ func TestAdmitQuotaAndQueue(t *testing.T) {
 		t.Fatalf("admit after drain rejected: %+v", d)
 	} else {
 		rel()
+	}
+}
+
+// TestCreateIsDurableThroughInjectedFS: a durable create fsyncs
+// tenant.json, the namespace directory and the data root — all through
+// the stores' injectable FS, so a disk fault reaches the metadata too —
+// and a failed fsync leaves no tenant behind.
+func TestCreateIsDurableThroughInjectedFS(t *testing.T) {
+	dir := t.TempDir()
+	in := faultfs.NewInjector(nil)
+	r, err := Open(Config{DataDir: dir, Store: store.Options{FS: in}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := in.Ops(faultfs.OpSync)
+	q := Quota{PlansPerSec: 3, MaxWorkflows: 7}
+	if _, err := r.Create("acme", q); err != nil {
+		t.Fatal(err)
+	}
+	if got := in.Ops(faultfs.OpSync) - before; got != 3 {
+		t.Fatalf("create issued %d fsyncs through the FS, want 3 (meta, namespace, root)", got)
+	}
+	in.Arm(faultfs.Fault{Kind: faultfs.SyncErr, At: -1})
+	if _, err := r.Create("sick", q); err == nil {
+		t.Fatal("create with a failing fsync succeeded")
+	}
+	if _, ok := r.Get("sick"); ok {
+		t.Fatal("failed create registered the tenant")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "sick")); !os.IsNotExist(err) {
+		t.Fatalf("failed create left its namespace behind: %v", err)
+	}
+	r.Close()
+
+	r2, err := Open(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	got, ok := r2.Get("acme")
+	if !ok || got.Quota() != q {
+		t.Fatalf("recovered acme = %v (ok=%v), want quota %+v", got, ok, q)
+	}
+}
+
+// TestEmptyMetaHealsToDefaultQuota: a create that crashed before its
+// commit can leave tenant.json empty; boot treats it like a missing file.
+func TestEmptyMetaHealsToDefaultQuota(t *testing.T) {
+	dir := t.TempDir()
+	def := Quota{MaxServers: 9}
+	if err := os.MkdirAll(filepath.Join(dir, "half"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "half", metaName), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(Config{DataDir: dir, DefaultQuota: def})
+	if err != nil {
+		t.Fatalf("boot over an empty tenant.json: %v", err)
+	}
+	defer r.Close()
+	if tn, ok := r.Get("half"); !ok || tn.Quota() != def {
+		t.Fatalf("half = %v (ok=%v), want the default quota", tn, ok)
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, "half", metaName)); err != nil || len(raw) == 0 {
+		t.Fatalf("tenant.json not healed: %q, %v", raw, err)
 	}
 }
