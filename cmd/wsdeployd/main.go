@@ -52,9 +52,15 @@
 //
 // With -reconcile, a background loop runs one reconcile pass per
 // tenant every -reconcileinterval, converging each tenant's fleet onto
-// its posted /v1/specs desired state. GET /v1/readyz answers 503 until
-// durable recovery has replayed and the loop (when enabled) is
-// running; probes should prefer it over state-coupled endpoints.
+// its posted /v1/specs desired state.
+//
+// Start-up runs in three steps: bind, recover, serve. The daemon binds
+// -addr first, so a taken address fails the start before anything is
+// created or replayed under -data. It then recovers every tenant and
+// starts its background loops, and only then serves the socket:
+// connections made meanwhile wait in the kernel's accept backlog and
+// are answered by a recovered daemon, so GET /v1/readyz answers 200 from
+// its first response. It answers 503 once shutdown begins.
 //
 // When a tenant's journal fail-stops (EIO/failed fsync on its WAL) the
 // tenant enters degraded read-only mode: reads, compute and status keep
@@ -73,6 +79,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -141,6 +148,13 @@ func main() {
 	faultProbe := flag.Duration("faultprobe", 2*time.Second, "base cadence of the degraded-store recovery probe (backs off exponentially while the disk stays sick)")
 	flag.Parse()
 
+	// Bind before recovery: a taken address fails here, before the
+	// registry creates or replays anything under -data.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("listen: %v", err)
+	}
+
 	if *autoCheck {
 		if err := autopilotSelfCheck(*traffic); err != nil {
 			log.Fatalf("autopilot self-check: %v", err)
@@ -189,12 +203,11 @@ func main() {
 		fmt.Printf("wsdeployd: %d tenants across %d planner shards (fsync %s, data %s)\n",
 			len(reg.List()), reg.Shards(), *fsyncMode, *dataDir)
 	}
-	// The handler is constructed not-ready: /v1/readyz flips to 200 only
-	// once recovery has replayed (NewHandlerWith returning is that
-	// proof) and the reconciler loop, when enabled, is running.
+	// NewHandlerWith returning is the proof that recovery has replayed;
+	// the socket is served only after it and the background loops are
+	// up, so every answer comes from a recovered daemon.
 	api, err := httpapi.NewHandlerWith(httpapi.Options{
-		Tenants:   reg,
-		HoldReady: true,
+		Tenants: reg,
 		Ingest: &ingest.Config{
 			MaxBatch:   *ingestBatch,
 			FlushDelay: *ingestDelay,
@@ -228,7 +241,6 @@ func main() {
 	mux.Handle("/", api)
 
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -296,15 +308,14 @@ func main() {
 	} else {
 		close(probeDone)
 	}
-	api.SetReady(true)
 
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Printf("wsdeployd listening on %s\n", *addr)
+	go func() { errc <- srv.Serve(ln) }()
+	fmt.Printf("wsdeployd listening on %s\n", ln.Addr())
 
 	select {
 	case err := <-errc:
-		// The listener failed before any signal (e.g. the port is taken).
+		// Serving failed before any signal.
 		log.Fatal(err)
 	case <-ctx.Done():
 	}

@@ -54,7 +54,6 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -134,10 +133,9 @@ type Handler struct {
 	// snapEvery bounds each tenant's replay (see durable.go).
 	snapEvery uint64
 
-	// ready gates GET /v1/readyz. A handler is born ready unless
-	// Options.HoldReady defers it to the caller (the daemon flips it
-	// after durable recovery has replayed and its background loops —
-	// autopilot, reconciler — are running).
+	// ready gates GET /v1/readyz. A handler is born ready: it exists
+	// only once recovery has replayed. The daemon clears it when
+	// shutdown begins.
 	ready atomic.Bool
 }
 
@@ -164,10 +162,6 @@ type Options struct {
 	// records past the last snapshot, a mutation triggers a composite
 	// snapshot and compaction. 0 means the default (256).
 	SnapshotEvery uint64
-	// HoldReady starts the handler not-ready: GET /v1/readyz answers 503
-	// until the caller invokes SetReady(true). The daemon uses it to
-	// withhold traffic until recovery and its background loops are up.
-	HoldReady bool
 	// Ingest tunes the per-shard batching pipelines in front of
 	// POST /v1/deploy (queue bound, batch size, flush delay, Retry-After
 	// hint). Nil uses the ingest defaults.
@@ -250,7 +244,7 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 		}
 		h.states[t.Name()] = ts
 	}
-	h.ready.Store(!opts.HoldReady)
+	h.ready.Store(true)
 	h.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -297,7 +291,7 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 	return h, nil
 }
 
-// SetReady flips the /v1/readyz gate (see Options.HoldReady).
+// SetReady flips the /v1/readyz gate: false makes it answer 503.
 func (h *Handler) SetReady(ready bool) { h.ready.Store(ready) }
 
 // Close stops the ingest pipelines (in-flight batches finish, queued
@@ -455,11 +449,11 @@ func (p pairSpec) build() (*workflow.Workflow, *network.Network, error) {
 	if len(p.Workflow) == 0 || len(p.Network) == 0 {
 		return nil, nil, fmt.Errorf("request needs both workflow and network")
 	}
-	w, err := wfio.DecodeWorkflow(bytes.NewReader(p.Workflow))
+	w, err := wfio.UnmarshalWorkflow(p.Workflow)
 	if err != nil {
 		return nil, nil, err
 	}
-	n, err := wfio.DecodeNetwork(bytes.NewReader(p.Network))
+	n, err := wfio.UnmarshalNetwork(p.Network)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -539,7 +533,7 @@ func (ts *tenantState) deploy(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("request needs a network"))
 		return
 	}
-	n, err := wfio.DecodeNetwork(bytes.NewReader(req.Network))
+	n, err := wfio.UnmarshalNetwork(req.Network)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -703,7 +697,7 @@ func (ts *tenantState) portfolio(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("request needs a network"))
 		return
 	}
-	n, err := wfio.DecodeNetwork(bytes.NewReader(req.Network))
+	n, err := wfio.UnmarshalNetwork(req.Network)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

@@ -163,9 +163,10 @@ func TestSpecDurableRestart(t *testing.T) {
 }
 
 // TestHealthAndReadyEndpoints covers the probe surface: /v1/healthz is
-// always live, /v1/readyz answers 503 until the daemon flips the gate.
+// always live; a handler is born ready, and /v1/readyz answers 503
+// while the gate is cleared (as the daemon does when shutdown begins).
 func TestHealthAndReadyEndpoints(t *testing.T) {
-	h, err := NewHandlerWith(Options{HoldReady: true})
+	h, err := NewHandlerWith(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,23 +176,20 @@ func TestHealthAndReadyEndpoints(t *testing.T) {
 	if body := getBody(t, srv, "/v1/healthz"); body == "" {
 		t.Fatal("no healthz body")
 	}
+	if body := getBody(t, srv, "/v1/readyz"); body == "" {
+		t.Fatal("handler not born ready")
+	}
+	h.SetReady(false)
 	resp, err := http.Get(srv.URL + "/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("held readyz = %d, want 503", resp.StatusCode)
+		t.Fatalf("cleared readyz = %d, want 503", resp.StatusCode)
 	}
 	h.SetReady(true)
 	if body := getBody(t, srv, "/v1/readyz"); body == "" {
 		t.Fatal("no readyz body after SetReady")
-	}
-
-	// The default construction is born ready.
-	plain := httptest.NewServer(NewHandler())
-	defer plain.Close()
-	if body := getBody(t, plain, "/v1/readyz"); body == "" {
-		t.Fatal("default handler not ready")
 	}
 }

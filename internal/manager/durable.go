@@ -1,7 +1,6 @@
 package manager
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"wsdeploy/internal/deploy"
 	"wsdeploy/internal/store"
 	"wsdeploy/internal/wfio"
-	"wsdeploy/internal/workflow"
 )
 
 // Fleet mutations journal through the Locked wrapper as typed WAL
@@ -93,23 +91,14 @@ type (
 	}
 )
 
-// encodeWorkflowJSON serializes a workflow for a journal record.
-func encodeWorkflowJSON(w *workflow.Workflow) (json.RawMessage, error) {
-	var buf bytes.Buffer
-	if err := wfio.EncodeWorkflow(&buf, w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // CreateRecord builds the fleet.create payload for a fresh fleet over
 // net — the handler journals it when PUT /v1/fleet resets the fleet.
 func CreateRecord(l *Locked) (any, error) {
-	var buf bytes.Buffer
-	if err := wfio.EncodeNetwork(&buf, l.Network()); err != nil {
+	b, err := wfio.AppendNetwork(nil, l.Network())
+	if err != nil {
 		return nil, fmt.Errorf("manager: encoding fleet.create network: %w", err)
 	}
-	return recFleetCreate{Network: buf.Bytes()}, nil
+	return recFleetCreate{Network: b}, nil
 }
 
 // RestoreRecord builds the fleet.restore payload from a snapshot blob.
@@ -134,7 +123,7 @@ func ApplyRecord(m *Manager, typ string, data []byte) (*Manager, error) {
 		if err := json.Unmarshal(data, &p); err != nil {
 			return fail(err)
 		}
-		n, err := wfio.DecodeNetwork(bytes.NewReader(p.Network))
+		n, err := wfio.UnmarshalNetwork(p.Network)
 		if err != nil {
 			return fail(err)
 		}
@@ -154,7 +143,7 @@ func ApplyRecord(m *Manager, typ string, data []byte) (*Manager, error) {
 		if err := json.Unmarshal(data, &p); err != nil {
 			return fail(err)
 		}
-		w, err := wfio.DecodeWorkflow(bytes.NewReader(p.Workflow))
+		w, err := wfio.UnmarshalWorkflow(p.Workflow)
 		if err != nil {
 			return fail(err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"wsdeploy/internal/deploy"
 	"wsdeploy/internal/network"
+	"wsdeploy/internal/wfio"
 	"wsdeploy/internal/workflow"
 )
 
@@ -138,7 +139,7 @@ func (l *Locked) recordPlacement(typ, id string, w *workflow.Workflow) error {
 	if l.journal == nil {
 		return nil
 	}
-	wjson, err := encodeWorkflowJSON(w)
+	wjson, err := wfio.AppendWorkflow(nil, w)
 	if err != nil {
 		return fmt.Errorf("manager: applied %s but %w: encoding its workflow: %v", typ, ErrJournal, err)
 	}

@@ -1,7 +1,6 @@
 package manager
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -15,20 +14,19 @@ import (
 // resume exactly where it left off via Restore.
 func (m *Manager) Snapshot() ([]byte, error) {
 	var snap snapshot
-	var nbuf bytes.Buffer
-	if err := wfio.EncodeNetwork(&nbuf, m.net); err != nil {
+	var err error
+	if snap.Network, err = wfio.AppendNetwork(nil, m.net); err != nil {
 		return nil, fmt.Errorf("manager: snapshotting network: %w", err)
 	}
-	snap.Network = nbuf.Bytes()
 	snap.Down = m.DownServers()
 	for _, id := range m.order {
-		var wbuf bytes.Buffer
-		if err := wfio.EncodeWorkflow(&wbuf, m.workflows[id]); err != nil {
+		wjson, err := wfio.AppendWorkflow(nil, m.workflows[id])
+		if err != nil {
 			return nil, fmt.Errorf("manager: snapshotting workflow %q: %w", id, err)
 		}
 		snap.Workflows = append(snap.Workflows, snapshotWorkflow{
 			ID:       id,
-			Workflow: wbuf.Bytes(),
+			Workflow: wjson,
 			Mapping:  m.mappings[id],
 		})
 	}
@@ -42,7 +40,7 @@ func Restore(data []byte) (*Manager, error) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("manager: decoding snapshot: %w", err)
 	}
-	n, err := wfio.DecodeNetwork(bytes.NewReader(snap.Network))
+	n, err := wfio.UnmarshalNetwork(snap.Network)
 	if err != nil {
 		return nil, fmt.Errorf("manager: restoring network: %w", err)
 	}
@@ -54,7 +52,7 @@ func Restore(data []byte) (*Manager, error) {
 		m.down[s] = true
 	}
 	for _, sw := range snap.Workflows {
-		w, err := wfio.DecodeWorkflow(bytes.NewReader(sw.Workflow))
+		w, err := wfio.UnmarshalWorkflow(sw.Workflow)
 		if err != nil {
 			return nil, fmt.Errorf("manager: restoring workflow %q: %w", sw.ID, err)
 		}

@@ -1,7 +1,6 @@
 package reconcile
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -97,7 +96,7 @@ func (ws WorkflowSpec) decode() (*workflow.Workflow, error) {
 	case len(ws.Workflow) > 0 && ws.WorkflowWDL != "":
 		return nil, fmt.Errorf("workflow %q: pass either workflow (JSON) or workflowWdl, not both", ws.ID)
 	case len(ws.Workflow) > 0:
-		return wfio.DecodeWorkflow(bytes.NewReader(ws.Workflow))
+		return wfio.UnmarshalWorkflow(ws.Workflow)
 	case ws.WorkflowWDL != "":
 		return wdl.Parse(ws.WorkflowWDL)
 	default:
@@ -114,7 +113,7 @@ func (s *Spec) Compile() (*Compiled, error) {
 		return nil, fmt.Errorf("reconcile: spec needs at least one workflow")
 	}
 	if len(s.Network) > 0 {
-		n, err := wfio.DecodeNetwork(bytes.NewReader(s.Network))
+		n, err := wfio.UnmarshalNetwork(s.Network)
 		if err != nil {
 			return nil, fmt.Errorf("reconcile: spec network: %w", err)
 		}

@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"strconv"
 	"time"
+
+	"wsdeploy/internal/wfio"
 )
 
 // ErrCorrupt marks damage in the interior of the log or snapshot — the
@@ -94,7 +96,7 @@ func appendRecordFrame(buf []byte, seq uint64, typ string, data []byte) []byte {
 	buf = append(buf, `{"seq":`...)
 	buf = strconv.AppendUint(buf, seq, 10)
 	buf = append(buf, `,"type":`...)
-	buf = appendJSONString(buf, typ)
+	buf = wfio.AppendString(buf, typ)
 	buf = append(buf, `,"data":`...)
 	if len(data) == 0 {
 		buf = append(buf, "null"...)
@@ -106,21 +108,6 @@ func appendRecordFrame(buf []byte, seq uint64, typ string, data []byte) []byte {
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
 	return buf
-}
-
-// appendJSONString appends s as encoding/json quotes it. Record types
-// are short ASCII tags that need no escaping; anything else takes the
-// library's path, so the bytes never differ from json.Marshal's.
-func appendJSONString(buf []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, _ := json.Marshal(s) // a string always encodes
-			return append(buf, b...)
-		}
-	}
-	buf = append(buf, '"')
-	buf = append(buf, s...)
-	return append(buf, '"')
 }
 
 // frameAt tries to decode one frame at data[off:]. It returns the

@@ -2,12 +2,78 @@ package wfio
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
-// FuzzDecodeWorkflowJSON asserts the workflow decoder is total:
-// arbitrary bytes never panic, and any spec it accepts survives an
-// Encode → Decode round-trip with its shape intact.
+// jsonBehaviourSeeds pin the encoding/json behaviours the codec must
+// reproduce; the network fuzzer reuses them with its own field names.
+var jsonBehaviourSeeds = []string{
+	// Keys match case-insensitively, under Unicode simple folding too:
+	// U+212A KELVIN SIGN folds to k, U+017F LONG S to s.
+	`{"NAME":"w","NODES":[{"Name":"A","Kind":"OP","CYCLES":1}],"Edges":null}`,
+	"{\"name\":\"w\",\"node\u017f\":[{\"name\":\"A\",\"\u212aind\":\"OP\",\"cycles\":1}]}",
+	`{"name":"w","node\u017f":[{"name":"A","\u212aind":"OP","cycles":1}]}`,
+	// A repeated array decodes into the elements already there: {b OP 5}.
+	`{"nodes":[{"name":"a","kind":"OP","cycles":5}],"nodes":[{"name":"b"}]}`,
+	// ... including elements a shorter array hid past its length, until
+	// null drops them.
+	`{"nodes":[{"name":"a","kind":"OP","cycles":1},{"name":"b","kind":"OP","cycles":2}],"nodes":[{}],"nodes":[{},{}]}`,
+	`{"nodes":[{"name":"a","kind":"OP","cycles":1},{"name":"b","kind":"OP","cycles":2}],"nodes":null,"nodes":[{},{}]}`,
+	`{"nodes":[{"name":"a","kind":"OP","cycles":1}],"edges":[],"edges":[{"from":0,"to":0}],"edges":[]}`,
+	// An empty array drops the hidden elements too.
+	`{"nodes":[{"name":"a","kind":"OP","cycles":1},{"name":"b","kind":"OP","cycles":2}],"nodes":[],"nodes":[{},{}]}`,
+	`{"nodes":[{"name":"a","kind":"OP","cycles":1},{"name":"b","kind":"OP","cycles":2}],"nodes":[null],"nodes":[null,null]}`,
+	// null leaves a scalar or an element unchanged.
+	`{"name":"w","name":null,"nodes":[{"name":"a","kind":"OP","cycles":1}],"nodes":[null]}`,
+	`{"name":"w","nodes":[{"name":null,"kind":"OP","cycles":null}],"edges":null}`,
+	`null`,
+	`null trailing`,
+	// Bytes after the first value are ignored, valid or not.
+	`{"name":"w","nodes":[{"name":"a","kind":"OP","cycles":1}]} {"bogus"`,
+	`{"name":"w","nodes":[{"name":"a","kind":"OP","cycles":1}]}]]]`,
+	// Int fields take integers only; float fields reject overflow but
+	// not underflow.
+	`{"nodes":[{"name":"a","kind":"OP","cycles":1},{"name":"b","kind":"OP","cycles":1}],"edges":[{"from":1.0,"to":1}]}`,
+	`{"nodes":[{"name":"a","kind":"OP","cycles":1},{"name":"b","kind":"OP","cycles":1}],"edges":[{"from":0,"to":1e0}]}`,
+	`{"nodes":[{"name":"a","kind":"OP","cycles":1},{"name":"b","kind":"OP","cycles":1}],"edges":[{"from":0,"to":-0}]}`,
+	`{"nodes":[{"name":"a","kind":"OP","cycles":1}],"edges":[{"from":99999999999999999999,"to":0}]}`,
+	`{"nodes":[{"name":"a","kind":"OP","cycles":1e400}]}`,
+	`{"nodes":[{"name":"a","kind":"OP","cycles":1e-400}]}`,
+	`{"nodes":[{"name":"a","kind":"OP","cycles":-0.0E+00}]}`,
+	`{"nodes":[{"name":"a","kind":"OP","cycles":01}]}`,
+	`{"nodes":[{"name":"a","kind":"OP","cycles":"1"}]}`,
+	`{"nodes":[{"name":"a","kind":"OP","cycles":true}]}`,
+	// \u escapes: a surrogate pair, a lone surrogate (U+FFFD), escaped
+	// key characters.
+	`{"name":"\ud83d\ude00 \ud800 \udc00x \u00e9\u2028\"\\\/\b\f\n\r\t","nodes":[{"\u006eame":"a","kind":"\u004fP","cycles":1}]}`,
+	`{"name":"\ud800\ud800\udc00","nodes":[{"name":"a","kind":"OP","cycles":1}]}`,
+	`{"name":"\u12","nodes":[]}`,
+	`{"name":"\x","nodes":[]}`,
+	// Invalid UTF-8 decodes as U+FFFD; control characters are rejected.
+	"{\"name\":\"bad \xff\xfe \xed\xa0\x80 utf8\",\"nodes\":[{\"name\":\"a\",\"kind\":\"OP\",\"cycles\":1}]}",
+	"{\"name\":\"tab\there\",\"nodes\":[]}",
+	// Unknown fields at every level.
+	`{"name":"w","nodes":[],"extra":1}`,
+	`{"name":"w","nodes":[{"name":"a","kind":"OP","cycles":1,"extra":null}]}`,
+	`{"name":"w","nodes":[{"name":"a","kind":"OP","cycles":1},{"name":"b","kind":"OP","cycles":1}],"edges":[{"from":0,"to":1,"extra":{}}]}`,
+	// Syntax at the edges.
+	` 	
+ {"name":"w","nodes":[{"name":"a","kind":"OP","cycles":1}]}`,
+	`{"name":"w","nodes":[{"name":"a","kind":"OP","cycles":1},]}`,
+	`{"name":"w",}`,
+	`{"name":"w" "nodes":[]}`,
+	`{"name":"w","nodes":[{"name":"a","kind":"OP","cycles":1}]`,
+	`{"nodes":[{"name":"<a&b>","kind":"OP","cycles":1},{"name":"\u2028\u2029","kind":"OP","cycles":1e-7}],"edges":[{"from":0,"to":1,"sizeBits":1e21,"weight":5e-324}]}`,
+	``,
+	`nul`,
+}
+
+// FuzzDecodeWorkflowJSON asserts the workflow codec is total and
+// equivalent to encoding/json: arbitrary bytes never panic, the codec
+// and the encoding/json oracle accept the same inputs and build the
+// same workflow, the encoders write the oracle's bytes, and any spec it
+// accepts survives an Encode → Decode round-trip with its shape intact.
 func FuzzDecodeWorkflowJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"w","nodes":[{"name":"A","kind":"OP","cycles":1e6}],"edges":[]}`))
 	f.Add([]byte(`{"name":"w","nodes":[
@@ -30,10 +96,14 @@ func FuzzDecodeWorkflowJSON(f *testing.F) {
 	f.Add([]byte(`nonsense`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[1,2,3]`))
+	for _, seed := range jsonBehaviourSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		w, err := DecodeWorkflow(bytes.NewReader(data))
+		checkStringAgainstOracle(t, string(data))
+		w, err := checkWorkflowAgainstOracle(t, data)
 		if err != nil {
-			return // rejection is fine; panics are not
+			return // rejection is fine as long as encoding/json rejects too
 		}
 		var buf bytes.Buffer
 		if err := EncodeWorkflow(&buf, w); err != nil {
@@ -50,9 +120,10 @@ func FuzzDecodeWorkflowJSON(f *testing.F) {
 	})
 }
 
-// FuzzDecodeNetworkJSON asserts the network decoder is total and that
-// accepted specs round-trip — including server names, which crash
-// recovery depends on (see DecodeNetwork's bus branch).
+// FuzzDecodeNetworkJSON asserts the network codec is total, equivalent
+// to encoding/json (see FuzzDecodeWorkflowJSON), and that accepted
+// specs round-trip — including server names, which crash recovery
+// depends on (see UnmarshalNetwork's bus branch).
 func FuzzDecodeNetworkJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"b","servers":[{"name":"S1","powerHz":1e9}],"bus":{"speedBps":1e8}}`))
 	f.Add([]byte(`{"name":"b","servers":[
@@ -80,8 +151,17 @@ func FuzzDecodeNetworkJSON(f *testing.F) {
 		{"a":1,"b":2,"speedBps":1e9,"propDelay":5e-5}]}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{}`))
+	for _, seed := range jsonBehaviourSeeds {
+		f.Add([]byte(strings.NewReplacer(`"nodes"`, `"servers"`, `"edges"`, `"links"`,
+			`"kind"`, `"region"`, `"cycles"`, `"powerHz"`, `"from"`, `"a"`, `"to"`, `"b"`,
+			`"sizeBits"`, `"speedBps"`, `"weight"`, `"propDelay"`).Replace(seed)))
+	}
+	f.Add([]byte(`{"name":"b","servers":[{"name":"S1","powerHz":1e9}],"bus":{"speedBps":1e8},"bus":{"propDelay":0.5}}`))
+	f.Add([]byte(`{"name":"b","servers":[{"name":"S1","powerHz":1e9}],"bus":{"speedBps":1e8},"bus":null,"bus":{"propDelay":0.5}}`))
+	f.Add([]byte(`{"name":"b","servers":[{"name":"S1","powerHz":1e9}],"BUS":{"SPEEDBPS":1e8,"propdelay":-0}}`))
+	f.Add([]byte(`{"name":"b","servers":[{"name":"S1","powerHz":1e9}],"bus":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, err := DecodeNetwork(bytes.NewReader(data))
+		n, err := checkNetworkAgainstOracle(t, data)
 		if err != nil {
 			return
 		}

@@ -9,6 +9,7 @@ import (
 	"wsdeploy/internal/gen"
 	"wsdeploy/internal/network"
 	"wsdeploy/internal/stats"
+	"wsdeploy/internal/workflow"
 )
 
 func TestWorkflowRoundTrip(t *testing.T) {
@@ -190,5 +191,42 @@ func TestNetworkDOT(t *testing.T) {
 	dot := NetworkDOT(n)
 	if !strings.Contains(dot, "graph") || !strings.Contains(dot, "Mbps") {
 		t.Fatalf("bad network DOT: %s", dot)
+	}
+}
+
+// TestDecodeKeepsEncodingJSONBehaviour pins, by value, the encoding/json
+// behaviours the codec reproduces (the differential fuzz checks them
+// against the library itself).
+func TestDecodeKeepsEncodingJSONBehaviour(t *testing.T) {
+	node := func(in string) workflow.Node {
+		t.Helper()
+		w, err := UnmarshalWorkflow([]byte(in))
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		return w.Nodes[0]
+	}
+	// A repeated array decodes into the elements already there.
+	if nd := node(`{"nodes":[{"name":"a","kind":"OP","cycles":5}],"nodes":[{"name":"b"}]}`); nd.Name != "b" || nd.Cycles != 5 {
+		t.Fatalf("repeated nodes array: %+v, want {b OP 5}", nd)
+	}
+	// Keys fold case, Unicode simple folding included; null keeps a
+	// field; bytes after the first value are ignored.
+	if nd := node("{\"NODES\":[{\"Name\":\"a\",\"\u212aind\":\"OP\",\"cycles\":1,\"cycles\":null}]} trailing"); nd.Cycles != 1 {
+		t.Fatalf("folded keys: %+v", nd)
+	}
+	// Lone surrogates and invalid UTF-8 decode as U+FFFD.
+	if nd := node("{\"nodes\":[{\"name\":\"\\ud800-\xff\",\"kind\":\"OP\",\"cycles\":1}]}"); nd.Name != "\ufffd-\ufffd" {
+		t.Fatalf("replacement characters: %q", nd.Name)
+	}
+	for _, in := range []string{
+		`{"nodes":[{"name":"a","kind":"OP","cycles":1e400}]}`,
+		`{"nodes":[{"name":"a","kind":"OP","cycles":1},{"name":"b","kind":"OP","cycles":1}],"edges":[{"from":0,"to":1.0}]}`,
+		`{"nodes":[{"name":"a","kind":"OP","cycles":1},{"name":"b","kind":"OP","cycles":1}],"edges":[{"from":0,"to":1e0}]}`,
+		`{"nodes":[{"name":"a","kind":"OP","cycles":1,"bogus":0}]}`,
+	} {
+		if _, err := UnmarshalWorkflow([]byte(in)); err == nil {
+			t.Fatalf("accepted %s", in)
+		}
 	}
 }
