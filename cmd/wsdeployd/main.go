@@ -4,7 +4,6 @@
 //
 //	wsdeployd -addr :8080
 //	wsdeployd -addr :8080 -data /var/lib/wsdeploy    # crash-safe durable state
-//	wsdeployd -addr :8080 -autopilot -traffic skew   # drift self-check at startup
 //	wsdeployd -addr :8080 -reconcile                 # declarative reconciler loop
 //
 //	curl -s localhost:8080/v1/algorithms
@@ -15,12 +14,13 @@
 //	}'
 //	curl -s localhost:8080/metrics       # Prometheus text exposition
 //	curl -s localhost:8080/debug/trace   # recent spans (flight recorder)
-//	curl -s localhost:8080/debug/vars    # engine metrics (expvar)
 //	go tool pprof localhost:8080/debug/pprof/profile
 //
-// See internal/httpapi for the endpoint reference. With -tracefile,
-// every finished span is additionally appended to the given file as
-// JSONL. The daemon traps SIGINT/SIGTERM and drains in-flight plans
+// The daemon serves placements; the chaos and autopilot studies run
+// from the CLIs (wsdeploy -chaos|-autopilot, experiment -exp
+// chaos|autopilot). See internal/httpapi for the endpoint reference.
+// /metrics is the one metrics exposition. With -tracefile, every
+// finished span is additionally appended to the given file as JSONL. The daemon traps SIGINT/SIGTERM and drains in-flight plans
 // before exiting.
 //
 // The daemon is multi-tenant: every stateful route is namespaced by
@@ -38,7 +38,7 @@
 // restores request-at-a-time planning.
 //
 // With -data, every tenant's state mutations (fleet operations,
-// acknowledged deployments, autopilot runs) are journaled to that
+// acknowledged deployments, spec edits) are journaled to that
 // tenant's own write-ahead log under -data/<tenant>/ before they are
 // acknowledged; on boot the daemon replays each tenant's snapshot+log
 // — truncating torn tails from a mid-write crash — and on graceful
@@ -87,7 +87,6 @@ import (
 	"syscall"
 	"time"
 
-	"wsdeploy/internal/autopilot"
 	"wsdeploy/internal/chaos"
 	"wsdeploy/internal/faultfs"
 	"wsdeploy/internal/httpapi"
@@ -96,36 +95,6 @@ import (
 	"wsdeploy/internal/store"
 	"wsdeploy/internal/tenant"
 )
-
-// autopilotSelfCheck runs the built-in seeded drift study on the
-// simulator — baseline vs closed loop — and logs the one-line summary.
-// It exercises the whole control path (traffic generator, drift
-// detector, bounded migration planning, fleet application) in well
-// under a second, so a misbuilt controller fails the daemon fast
-// instead of failing the first /v1/autopilot request.
-func autopilotSelfCheck(shapeName string) error {
-	shape, err := autopilot.ParseShape(shapeName)
-	if err != nil {
-		return err
-	}
-	classes, n, err := autopilot.DemoScenario()
-	if err != nil {
-		return err
-	}
-	lc := autopilot.LoopConfig{Traffic: autopilot.DemoTraffic(shape), Seed: 7}
-	baseline, err := autopilot.RunSim(classes, n, lc)
-	if err != nil {
-		return err
-	}
-	lc.Enabled = true
-	res, err := autopilot.RunSim(classes, n, lc)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("autopilot self-check (%s traffic): tail time penalty %.4f disabled vs %.4f enabled; %d actions, %d migrations\n",
-		shape, baseline.TailPenalty, res.TailPenalty, len(res.Actions), res.Migrations)
-	return nil
-}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -136,8 +105,6 @@ func main() {
 	shards := flag.Int("shards", tenant.DefaultShards, "planner shards tenants hash across")
 	maxShardQueue := flag.Int("maxshardqueue", 0, "max in-flight admitted requests per planner shard (0: unbounded)")
 	planRate := flag.Float64("planrate", 0, "default per-tenant plans/sec quota for tenants without an explicit one (0: unlimited)")
-	autoCheck := flag.Bool("autopilot", false, "run the seeded closed-loop drift self-check before serving and log its summary")
-	traffic := flag.String("traffic", "skew", "traffic shape for the -autopilot self-check: steady|diurnal|skew")
 	reconcileOn := flag.Bool("reconcile", false, "run the declarative reconciler loop (one pass per tenant per interval)")
 	reconcileEvery := flag.Duration("reconcileinterval", 2*time.Second, "reconcile pass cadence with -reconcile")
 	ingestOn := flag.Bool("ingest", true, "batch POST /v1/deploy through the per-shard ingest pipeline (false: plan request-at-a-time)")
@@ -153,12 +120,6 @@ func main() {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("listen: %v", err)
-	}
-
-	if *autoCheck {
-		if err := autopilotSelfCheck(*traffic); err != nil {
-			log.Fatalf("autopilot self-check: %v", err)
-		}
 	}
 
 	tcfg := tenant.Config{
@@ -229,9 +190,9 @@ func main() {
 		api.Tracer().AddExporter(obs.NewJSONLExporter(f))
 	}
 
-	// The API handler serves /metrics, /debug/trace and /debug/vars
-	// itself; pprof needs explicit registration because the api mux,
-	// not http.DefaultServeMux, fronts the daemon.
+	// The API handler serves /metrics and /debug/trace itself; pprof
+	// needs explicit registration because the api mux, not
+	// http.DefaultServeMux, fronts the daemon.
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

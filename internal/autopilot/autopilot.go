@@ -22,7 +22,7 @@ func sameMapping(a, b deploy.Mapping) bool {
 }
 
 // Process-wide autopilot metrics on the shared obs registry, alongside
-// the engine/sim/fabric/chaos series on /metrics and /debug/vars.
+// the engine/sim/fabric/chaos series on /metrics.
 var (
 	obsEvals      = obs.Default().Counter("autopilot.evaluations")
 	obsActions    = obs.Default().Counter("autopilot.actions")
@@ -57,8 +57,7 @@ type Config struct {
 	// 2×Window.
 	SettleDelay float64
 	// AllowScale lets the rebalance rung also grow or shrink the fleet
-	// with ServerUp/ServerDown. Only the sim loop supports it (the
-	// fabric cannot renumber live hosts); default off.
+	// with ServerUp/ServerDown. Default off.
 	AllowScale bool
 	// ScaleUpUtil and ScaleDownUtil are the sustained offered-utilization
 	// thresholds (CPU-seconds per second per server) that trigger fleet
@@ -125,10 +124,6 @@ type Autopilot struct {
 	det   *Detector
 	rates map[string]float64
 
-	// remap pushes one applied move onto the live substrate (fabric
-	// remaps); nil for the simulator, which reads mappings fresh.
-	remap func(class string, op, s int) error
-
 	settleAt   float64 // virtual time to force-arm after an incident; <0 none
 	hot, cold  int     // consecutive windows beyond the scale thresholds
 	actions    []Action
@@ -151,13 +146,6 @@ func (a *Autopilot) Config() Config { return a.cfg }
 
 // Fleet returns the shared fleet the controller drives.
 func (a *Autopilot) Fleet() *manager.Locked { return a.fleet }
-
-// Detector exposes the drift detector (tests and the HTTP API read it).
-func (a *Autopilot) Detector() *Detector { return a.det }
-
-// AttachRemapper installs the live-substrate hook invoked for every
-// migrated operation (fabric.Remap per class; nil for simulation).
-func (a *Autopilot) AttachRemapper(fn func(class string, op, s int) error) { a.remap = fn }
 
 // Actions returns the ladder firings so far.
 func (a *Autopilot) Actions() []Action { return a.actions }
@@ -201,12 +189,11 @@ func (a *Autopilot) classes() []Class {
 }
 
 // ObserveWindow closes one observation window at virtual time t: loads
-// are the window's per-server busy seconds (sim BusyTime / fabric Busy
-// accumulated by the loop), arrivals the per-class instance counts. It
-// updates the EWMA rates, evaluates the drift ladder, and — when a
-// level fires — plans, applies the mappings through the fleet, pushes
-// each move through the remapper, and logs the Action. The returned
-// bool reports whether an action fired.
+// are the window's per-server busy seconds (sim BusyTime accumulated by
+// the loop), arrivals the per-class instance counts. It updates the
+// EWMA rates, evaluates the drift ladder, and — when a level fires —
+// plans, applies the mappings through the fleet, and logs the Action.
+// The returned bool reports whether an action fired.
 func (a *Autopilot) ObserveWindow(t float64, loads []float64, arrivals map[string]int) (Action, bool) {
 	for id, nArr := range arrivals {
 		inst := float64(nArr) / a.cfg.Window
@@ -297,7 +284,7 @@ func (a *Autopilot) act(t float64, level Level, drift float64, loads []float64, 
 
 	asp := sp.StartChild("autopilot.apply")
 	defer asp.End()
-	if err := a.apply(cs, mappings, moves); err != nil {
+	if err := a.apply(cs, mappings); err != nil {
 		act.Detail = "apply failed: " + err.Error()
 		asp.SetAttr("err", act.Detail)
 		return act
@@ -307,10 +294,9 @@ func (a *Autopilot) act(t float64, level Level, drift float64, loads []float64, 
 	return act
 }
 
-// apply commits the planned mappings to the fleet under one lock hold,
-// then pushes every move onto the live substrate through the remapper.
-func (a *Autopilot) apply(cs []Class, mappings []deploy.Mapping, moves []ClassMove) error {
-	if err := a.fleet.Do(func(m *manager.Manager) error {
+// apply commits the planned mappings to the fleet under one lock hold.
+func (a *Autopilot) apply(cs []Class, mappings []deploy.Mapping) error {
+	return a.fleet.Do(func(m *manager.Manager) error {
 		for i, c := range cs {
 			if sameMapping(c.Mapping, mappings[i]) {
 				continue
@@ -320,18 +306,7 @@ func (a *Autopilot) apply(cs []Class, mappings []deploy.Mapping, moves []ClassMo
 			}
 		}
 		return nil
-	}); err != nil {
-		return err
-	}
-	if a.remap == nil {
-		return nil
-	}
-	for _, mv := range moves {
-		if err := a.remap(mv.Class, mv.Op, mv.To); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // maybeScale applies the fleet-scaling policy on the rebalance rung:

@@ -184,48 +184,3 @@ func (d *Detector) ForceArm() {
 	}
 	d.forced = true
 }
-
-// DetectorState is the detector's durable hysteresis state: which
-// levels are disarmed, their re-arm deadlines, and the open cooldown.
-// Persisting it across a daemon restart is what keeps a reboot from
-// resetting the ladder — a freshly-armed detector re-fires on the same
-// elevated drift it already acted on and thrashes the fleet.
-type DetectorState struct {
-	Armed         []bool    `json:"armed"`   // per level, LevelTouchUp..LevelRebalance
-	RearmAt       []float64 `json:"rearmAt"` // per level, virtual seconds
-	CooldownUntil float64   `json:"cooldownUntil"`
-	LastDrift     float64   `json:"lastDrift"`
-	Forced        bool      `json:"forced,omitempty"`
-}
-
-// State exports the detector's durable state.
-func (d *Detector) State() DetectorState {
-	st := DetectorState{
-		Armed:         make([]bool, 0, LevelRebalance),
-		RearmAt:       make([]float64, 0, LevelRebalance),
-		CooldownUntil: d.cooldownUntil,
-		LastDrift:     d.lastDrift,
-		Forced:        d.forced,
-	}
-	for l := LevelTouchUp; l <= LevelRebalance; l++ {
-		st.Armed = append(st.Armed, d.armed[l])
-		st.RearmAt = append(st.RearmAt, d.rearmAt[l])
-	}
-	return st
-}
-
-// Restore loads a previously exported state, resuming hysteresis,
-// cooldown and re-arm deadlines exactly where the saved detector left
-// off. Levels beyond the saved slice stay at their constructed
-// (armed) default, so states survive ladder growth.
-func (d *Detector) Restore(st DetectorState) {
-	for i := 0; i < len(st.Armed) && i < int(LevelRebalance); i++ {
-		d.armed[LevelTouchUp+Level(i)] = st.Armed[i]
-	}
-	for i := 0; i < len(st.RearmAt) && i < int(LevelRebalance); i++ {
-		d.rearmAt[LevelTouchUp+Level(i)] = st.RearmAt[i]
-	}
-	d.cooldownUntil = st.CooldownUntil
-	d.lastDrift = st.LastDrift
-	d.forced = st.Forced
-}

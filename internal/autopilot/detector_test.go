@@ -105,48 +105,11 @@ func TestDetectorTimeBasedReArm(t *testing.T) {
 	}
 }
 
-// TestDetectorStateRoundTrip proves a restored detector is
-// indistinguishable from one that never restarted: same decisions on
-// the same reading stream.
-func TestDetectorStateRoundTrip(t *testing.T) {
-	cfg := DetectorConfig{Cooldown: 5, ReArm: 20}
-	live := NewDetector(cfg)
-	if got := live.Evaluate(1, 0.20); got != LevelDelta {
-		t.Fatalf("setup firing: got %s", got)
-	}
-	live.ActionTaken(1, LevelDelta)
-
-	// "Reboot": serialize, build a fresh detector, restore.
-	rebooted := NewDetector(cfg)
-	rebooted.Restore(live.State())
-
-	for _, probe := range []struct {
-		t, drift float64
-	}{
-		{3, 0.20},  // inside cooldown
-		{7, 0.20},  // cooled down but delta disarmed, rearm pending
-		{10, 0.05}, // dips below every Exit: re-arms both
-		{12, 0.20}, // fresh excursion
-	} {
-		want := live.Evaluate(probe.t, probe.drift)
-		got := rebooted.Evaluate(probe.t, probe.drift)
-		if got != want {
-			t.Fatalf("t=%.0f drift=%.2f: restored detector says %s, continuous says %s", probe.t, probe.drift, got, want)
-		}
-		if want != LevelNone {
-			live.ActionTaken(probe.t, want)
-			rebooted.ActionTaken(probe.t, want)
-		}
-	}
-	if live.LastDrift() != rebooted.LastDrift() {
-		t.Fatalf("drift telemetry diverged: %v vs %v", live.LastDrift(), rebooted.LastDrift())
-	}
-}
-
-// TestDetectorRestartWithoutStateThrashes documents the failure mode
-// durability prevents: a fresh (unrestored) detector re-fires on the
-// same elevated drift the pre-crash detector already acted on, while a
-// restored one stays quiet.
+// TestDetectorRestartWithoutStateThrashes documents why a detector's
+// hysteresis is worth keeping across a restart: a fresh detector
+// re-fires on the same elevated drift the pre-restart detector already
+// acted on, while the continuing one stays quiet. The detector's state
+// is in memory only, so a restarted controller starts fresh.
 func TestDetectorRestartWithoutStateThrashes(t *testing.T) {
 	cfg := DetectorConfig{Cooldown: 5, ReArm: 100}
 	before := NewDetector(cfg)
@@ -157,26 +120,10 @@ func TestDetectorRestartWithoutStateThrashes(t *testing.T) {
 
 	amnesiac := NewDetector(cfg)
 	if got := amnesiac.Evaluate(8, 0.14); got != LevelTouchUp {
-		t.Fatalf("amnesiac detector should thrash (re-fire): got %s", got)
+		t.Fatalf("fresh detector should thrash (re-fire): got %s", got)
 	}
-	restored := NewDetector(cfg)
-	restored.Restore(before.State())
-	if got := restored.Evaluate(8, 0.14); got != LevelNone {
-		t.Fatalf("restored detector must hold its hysteresis: got %s", got)
-	}
-}
-
-// TestDetectorRestoreForwardCompatible feeds a short saved state (an
-// older, smaller ladder) into the current detector: missing levels stay
-// armed.
-func TestDetectorRestoreForwardCompatible(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	d.Restore(DetectorState{Armed: []bool{false}, RearmAt: []float64{50}})
-	if got := d.Evaluate(1, 0.09); got != LevelNone {
-		t.Fatalf("restored disarmed touch-up fired: got %s", got)
-	}
-	if got := d.Evaluate(2, 0.40); got != LevelRebalance {
-		t.Fatalf("unrestored level should stay armed: got %s", got)
+	if got := before.Evaluate(8, 0.14); got != LevelNone {
+		t.Fatalf("continuing detector must hold its hysteresis: got %s", got)
 	}
 }
 

@@ -10,7 +10,8 @@
 // — with hysteresis bands and cooldowns so noise does not thrash the
 // fleet. The package also ships the traffic source needed to exercise
 // the loop: a seeded open-loop Poisson generator with steady, diurnal
-// and skew load shapes that drives both the sim and fabric backends.
+// and skew load shapes. It drives the simulator loop here (RunSim) and
+// the reconcile study's sim and fabric backends.
 //
 // The drift signal is *normalized*: PenaltyOfLoads(observed)/Σobserved,
 // which is scale-free — a uniform rate change (the diurnal amplitude)

@@ -20,7 +20,7 @@ type ClassSpec struct {
 	Workflow *workflow.Workflow
 }
 
-// LoopConfig parameterizes one closed-loop run over either backend.
+// LoopConfig parameterizes one closed-loop run of RunSim.
 type LoopConfig struct {
 	// Traffic drives the arrival stream; its Classes field is overridden
 	// to the number of ClassSpecs.
@@ -34,16 +34,11 @@ type LoopConfig struct {
 	// Seed feeds the per-instance simulation RNG (split per arrival).
 	Seed uint64
 	// Chaos, when non-empty, replays crash/rejoin events through a chaos
-	// supervisor over the shared fleet (sim loop only); each incident
-	// also notifies the controller for settle-then-rebalance.
+	// supervisor over the shared fleet; each incident also notifies the
+	// controller for settle-then-rebalance.
 	Chaos []chaos.Event
 	// ChaosCfg tunes the supervisor's latency model.
 	ChaosCfg chaos.SupervisorConfig
-	// Resume, when set, restores the drift detector's persisted
-	// hysteresis state instead of starting with every level armed — a
-	// restarted controller keeps its cooldowns and disarmed rungs, so a
-	// reboot does not re-fire on drift it already acted on.
-	Resume *DetectorState
 }
 
 // WindowStat is one closed observation window.
@@ -78,10 +73,6 @@ type LoopResult struct {
 	TailDrift   float64
 	MeanPenalty float64
 	TailPenalty float64
-	// Detector is the drift detector's final hysteresis state — persist
-	// it and feed it back through LoopConfig.Resume to continue the
-	// controller across a restart.
-	Detector DetectorState
 }
 
 // tally derives the aggregate drift figures from the recorded windows.
@@ -141,9 +132,6 @@ func RunSim(classes []ClassSpec, net *network.Network, cfg LoopConfig) (*LoopRes
 		return nil, err
 	}
 	pilot := New(fleet, cfg.Pilot)
-	if cfg.Resume != nil {
-		pilot.det.Restore(*cfg.Resume)
-	}
 
 	var sv *chaos.Supervisor
 	events := append([]chaos.Event(nil), cfg.Chaos...)
@@ -242,7 +230,6 @@ func RunSim(classes []ClassSpec, net *network.Network, cfg LoopConfig) (*LoopRes
 
 	res.Actions = pilot.Actions()
 	res.Migrations = pilot.Migrations()
-	res.Detector = pilot.det.State()
 	res.tally()
 	return res, nil
 }

@@ -25,7 +25,7 @@ type Fleet interface {
 }
 
 // Process-wide chaos metrics on the shared obs registry, next to the
-// engine's and the fabric's series on /metrics and /debug/vars.
+// engine's and the fabric's series on /metrics.
 var (
 	obsIncidents   = obs.Default().Counter("chaos.incidents")
 	obsOpsMoved    = obs.Default().Counter("chaos.ops_moved")

@@ -6,8 +6,8 @@
 // endpoint is namespaced by tenant (X-Tenant header or the
 // /v1/tenants/{tenant}/... path prefix; neither means the "default"
 // tenant, so the pre-tenancy surface works unchanged). Each tenant owns
-// its own fleet, deployment ledger, autopilot state and — on a durable
-// handler — its own WAL segment and snapshot lineage; tenants are
+// its own fleet, deployment ledger, specs and — on a durable handler —
+// its own WAL segment and snapshot lineage; tenants are
 // spread across N planner shards by consistent hashing so a tenant's
 // plans always hit the same engine worker pool and its LRU plan cache
 // stays hot. Mutating and planning requests pass an admission layer
@@ -18,8 +18,8 @@
 // Endpoints:
 //
 //	GET  /healthz        — liveness (also GET /v1/healthz)
-//	GET  /v1/readyz      — readiness: 503 until recovery has replayed
-//	                       and the daemon's background loops are up
+//	GET  /v1/readyz      — readiness: 200 from a recovered handler,
+//	                       503 once SetReady(false) (shutdown) clears it
 //	GET  /v1/algorithms  — registry keys accepted by deploy requests
 //	POST /v1/deploy      — plan one deployment (workflow JSON or WDL);
 //	                       algorithm "portfolio" races the whole registry
@@ -27,17 +27,11 @@
 //	POST /v1/portfolio   — race a portfolio, report the leaderboard
 //	POST /v1/simulate    — Monte-Carlo simulate a given mapping
 //	POST /v1/failover    — recover a mapping from a server failure
-//	POST /v1/chaos       — chaos study: simulate a mapping under a fault
-//	                       plan with self-healing, report availability
 //	POST /v1/convert     — translate a workflow between JSON, WDL and DOT
-//	POST /v1/autopilot   — closed-loop drift study: seeded traffic over
-//	                       a fleet with the autopilot on or off
-//	GET  /v1/autopilot   — controller defaults and the last run summary
 //	GET  /v1/tenants     — tenant directory; POST creates, GET/DELETE
 //	                       /v1/tenants/{name} inspect and remove
 //	GET  /metrics        — Prometheus text exposition of the obs registry
 //	GET  /debug/trace    — recent spans from the flight recorder (JSON)
-//	GET  /debug/vars     — expvar metrics (engine counters, latency)
 //
 // plus the stateful fleet-manager endpoints under /v1/fleet (see
 // fleet.go): create/status, workflow arrival/departure, server
@@ -51,13 +45,16 @@
 // spec hit its LRU plan cache, and an optional timeoutMs field bounds
 // planning latency — on expiry the best mapping found so far is
 // returned with "truncated" set.
+//
+// The handler serves placements. The chaos and autopilot studies are
+// not endpoints: they run from the CLIs (wsdeploy -chaos|-autopilot,
+// experiment -exp chaos|autopilot).
 package httpapi
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log"
 	"math"
@@ -143,7 +140,7 @@ type Handler struct {
 // yields the same in-memory behavior as NewHandler.
 type Options struct {
 	// Tenants namespaces the handler: every tenant in the registry gets
-	// its own fleet/ledger/autopilot state, its own store when the
+	// its own fleet/ledger/spec state, its own store when the
 	// registry is durable, and a planner shard by consistent hashing.
 	// When set, Store and Recovery are ignored. When nil the handler
 	// builds a private in-memory registry holding just the default
@@ -156,7 +153,7 @@ type Options struct {
 	// set (each tenant carries its own store).
 	Store *store.Store
 	// Recovery is the store's recovered state, replayed into the fleet,
-	// deployment ledger and autopilot endpoints before serving.
+	// deployment ledger and specs before serving.
 	Recovery *store.Recovery
 	// SnapshotEvery bounds replay: once a tenant's WAL holds this many
 	// records past the last snapshot, a mutation triggers a composite
@@ -179,7 +176,7 @@ type Options struct {
 
 // NewHandler builds an in-memory API handler. It owns a tracer backed
 // by a flight recorder: every request becomes an "http.request" span
-// whose children (engine runs, chaos episodes) land in the recorder,
+// whose children (engine runs and their planners) land in the recorder,
 // and GET /debug/trace serves the retained window.
 func NewHandler() *Handler {
 	h, err := NewHandlerWith(Options{})
@@ -274,14 +271,11 @@ func NewHandlerWith(opts Options) (*Handler, error) {
 	h.mux.HandleFunc("POST /v1/portfolio", h.admit((*tenantState).portfolio))
 	h.mux.HandleFunc("POST /v1/simulate", h.admit(stateless(h.simulate)))
 	h.mux.HandleFunc("POST /v1/failover", h.admit(stateless(h.failover)))
-	h.mux.HandleFunc("POST /v1/chaos", h.admit(stateless(h.chaos)))
 	h.mux.HandleFunc("GET /v1/store/status", h.withTenant((*tenantState).storeStatus))
 	h.mux.Handle("GET /metrics", obs.MetricsHandler(obs.Default()))
 	h.mux.Handle("GET /debug/trace", obs.TraceHandler(flight))
-	h.mux.Handle("GET /debug/vars", expvar.Handler())
 	h.registerFleet()
 	h.registerConvert()
-	h.registerAutopilot()
 	h.registerDeployments()
 	h.registerTenants()
 	h.registerSpecs()

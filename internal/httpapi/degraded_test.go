@@ -67,7 +67,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("degraded 503 carries no Retry-After")
 	}
-	for _, path := range []string{"/v1/deploy", "/v1/reconcile", "/v1/specs", "/v1/autopilot"} {
+	for _, path := range []string{"/v1/deploy", "/v1/reconcile", "/v1/specs"} {
 		resp, _ := do(t, http.MethodPost, srv.URL+path, `{}`)
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("degraded POST %s = %d, want 503", path, resp.StatusCode)

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"sort"
 
-	"wsdeploy/internal/autopilot"
 	"wsdeploy/internal/manager"
 	"wsdeploy/internal/obs"
 	"wsdeploy/internal/reconcile"
@@ -16,22 +15,25 @@ import (
 
 // Durable state plumbing. A durable tenant journals every state
 // mutation — fleet operations (the manager's typed fleet.* records),
-// deployment-ledger appends ("deployment.created") and autopilot runs
-// ("autopilot.run") — into its own write-ahead log, and periodically
-// folds the whole namespace into a composite snapshot so replay stays
-// bounded. After a crash the daemon reopens every tenant's store and
-// NewHandlerWith replays each snapshot+tail back into that tenant's
-// endpoints; one tenant's log never mixes with another's.
+// deployment-ledger appends ("deployment.created") and spec edits
+// (reconcile's reconcile.* records) — into its own write-ahead log, and
+// periodically folds the whole namespace into a composite snapshot so
+// replay stays bounded. After a crash the daemon reopens every tenant's
+// store and NewHandlerWith replays each snapshot+tail back into that
+// tenant's endpoints; one tenant's log never mixes with another's.
 
 // DefaultSnapshotEvery is the replay bound: a composite snapshot and
 // WAL compaction trigger once this many records accumulate past the
 // last snapshot.
 const DefaultSnapshotEvery = 256
 
-// Record types owned by the HTTP layer (fleet.* belong to manager).
+// Record types owned by the HTTP layer (fleet.* belong to manager,
+// reconcile.* to reconcile). recLegacyAutopilotRun is no longer written:
+// data directories from before the autopilot endpoint was removed may
+// still hold it, and recovery skips it.
 const (
-	recDeploymentCreated = "deployment.created"
-	recAutopilotRun      = "autopilot.run"
+	recDeploymentCreated  = "deployment.created"
+	recLegacyAutopilotRun = "autopilot.run"
 )
 
 var obsSnapErrs = obs.Default().Counter("httpapi.snapshot_errors")
@@ -95,17 +97,18 @@ func (ts *tenantState) maybeSnapshot() {
 }
 
 // composite is the durable image of one tenant's stateful endpoints,
-// stored as the opaque payload of a store snapshot.
+// stored as the opaque payload of a store snapshot. Snapshots written
+// before the autopilot endpoint was removed also carry an "autopilot"
+// key; decoding ignores it and the next snapshot drops it.
 type composite struct {
 	Fleet       json.RawMessage       `json:"fleet,omitempty"`
 	Deployments []deployEntry         `json:"deployments,omitempty"`
 	NextDepID   int                   `json:"nextDepId,omitempty"`
-	Autopilot   *apRunRecord          `json:"autopilot,omitempty"`
 	Specs       []reconcile.Versioned `json:"specs,omitempty"`
 }
 
 // SnapshotNow captures a quiesced composite snapshot of the tenant's
-// fleet, deployment ledger and autopilot state and hands it to the
+// fleet, deployment ledger and specs and hands it to the
 // tenant's store, which compacts the WAL down to the uncovered tail.
 // No-op without a store.
 func (ts *tenantState) SnapshotNow() error {
@@ -131,15 +134,6 @@ func (ts *tenantState) SnapshotNow() error {
 	c.Deployments = append([]deployEntry(nil), ts.deps.entries...)
 	c.NextDepID = ts.deps.nextID
 	ts.deps.mu.Unlock()
-	ts.pilot.mu.Lock()
-	if ts.pilot.last != nil {
-		rec := apRunRecord{Summary: ts.pilot.last}
-		if ts.pilot.det != nil {
-			rec.Detector = *ts.pilot.det
-		}
-		c.Autopilot = &rec
-	}
-	ts.pilot.mu.Unlock()
 	c.Specs = ts.specs.set.Image()
 	covered := ts.store.LastSeq()
 	ts.snapMu.Unlock()
@@ -190,11 +184,6 @@ func (ts *tenantState) restoreFromRecovery(rec *store.Recovery) error {
 		}
 		ts.deps.entries = c.Deployments
 		ts.deps.nextID = c.NextDepID
-		if c.Autopilot != nil {
-			ts.pilot.last = c.Autopilot.Summary
-			det := c.Autopilot.Detector
-			ts.pilot.det = &det
-		}
 		ts.specs.set.RestoreImage(c.Specs)
 	}
 	for _, r := range rec.Records {
@@ -214,14 +203,8 @@ func (ts *tenantState) restoreFromRecovery(rec *store.Recovery) error {
 			if err := ts.specs.replaySpecRecord(r); err != nil {
 				return err
 			}
-		case r.Type == recAutopilotRun:
-			var ar apRunRecord
-			if err := json.Unmarshal(r.Data, &ar); err != nil {
-				return fmt.Errorf("httpapi: replaying seq %d (%s): %w", r.Seq, r.Type, err)
-			}
-			ts.pilot.last = ar.Summary
-			det := ar.Detector
-			ts.pilot.det = &det
+		case r.Type == recLegacyAutopilotRun:
+			// A finished study's summary: no state to rebuild.
 		default:
 			return fmt.Errorf("httpapi: replaying seq %d: unknown record type %q", r.Seq, r.Type)
 		}
@@ -263,14 +246,6 @@ func (ts *tenantState) journalFleetRestore(fleet *manager.Locked, snapshot []byt
 	}
 	fleet.AttachJournal(tenantJournal{ts})
 	return nil
-}
-
-// apRunRecord is the durable image of one autopilot run: the response
-// summary GET replays, plus the drift detector's hysteresis state so a
-// restarted controller resumes its cooldowns (see autopilot.DetectorState).
-type apRunRecord struct {
-	Summary  json.RawMessage         `json:"summary"`
-	Detector autopilot.DetectorState `json:"detector"`
 }
 
 // storeStatus serves GET /v1/store/status for the request's tenant:

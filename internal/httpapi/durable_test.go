@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"wsdeploy/internal/store"
+	"wsdeploy/internal/tenant"
 )
 
 // durableServer opens (or reopens) a store in dir and serves a handler
@@ -55,8 +56,8 @@ func mustOK(t *testing.T, srv *httptest.Server, method, path, body string) map[s
 	return out
 }
 
-// driveDurableState exercises every durable surface: fleet lifecycle,
-// the deployment ledger and one autopilot run.
+// driveDurableState exercises the fleet lifecycle and the deployment
+// ledger.
 func driveDurableState(t *testing.T, srv *httptest.Server) {
 	t.Helper()
 	wf, n := specPair(t)
@@ -77,8 +78,6 @@ func driveDurableState(t *testing.T, srv *httptest.Server) {
 	if out["id"] != "named" {
 		t.Fatalf("named ledger id = %v", out["id"])
 	}
-
-	mustOK(t, srv, http.MethodPost, "/v1/autopilot", autopilotBody(t, true, ""))
 }
 
 // durableViews captures every recoverable GET surface.
@@ -88,7 +87,6 @@ func durableViews(t *testing.T, srv *httptest.Server) map[string]string {
 		"fleet snapshot": getBody(t, srv, "/v1/fleet/snapshot"),
 		"fleet status":   getBody(t, srv, "/v1/fleet/status"),
 		"deployments":    getBody(t, srv, "/v1/deployments"),
-		"autopilot":      getBody(t, srv, "/v1/autopilot"),
 	}
 }
 
@@ -176,35 +174,116 @@ func TestDurableAutoSnapshot(t *testing.T) {
 	}
 }
 
-// TestAutopilotResumeUsesPersistedDetector checks that "resume": true
-// continues from the persisted hysteresis state after a restart: the
-// resumed detector state differs from a cold re-run's only in history
-// it carried over (here we just require the endpoint to accept resume
-// and report a detector in GET).
-func TestAutopilotResumeUsesPersistedDetector(t *testing.T) {
+// Legacy autopilot data as a daemon that still served POST /v1/autopilot
+// wrote it: one "autopilot.run" WAL record, and the same run under the
+// composite snapshot's "autopilot" key.
+const legacyAutopilotRun = `{"summary": {"enabled": true, "backend": "sim", "arrivals": 321, "tailPenalty": 0.0123},
+ "detector": {"armed": [true, false, true], "rearmAt": [0, 47, 0], "cooldownUntil": 52, "lastDrift": 0.21}}`
+
+// TestRecoverSkipsLegacyAutopilotData reopens a data directory written
+// before the autopilot endpoint was removed. Its snapshot carries an
+// "autopilot" key and its WAL tail an "autopilot.run" record between
+// live records. Recovery must skip both and restore everything else,
+// and the next snapshot must drop both.
+func TestRecoverSkipsLegacyAutopilotData(t *testing.T) {
 	dir := t.TempDir()
 	srv, st := durableServer(t, dir, 0)
-	mustOK(t, srv, http.MethodPost, "/v1/autopilot", autopilotBody(t, true, ""))
-	var got struct {
-		Detector *struct {
-			Armed []bool `json:"armed"`
-		} `json:"detector"`
-	}
-	if err := json.Unmarshal([]byte(getBody(t, srv, "/v1/autopilot")), &got); err != nil {
+	wf, n := specPair(t)
+	mustOK(t, srv, http.MethodPost, "/v1/specs", specBody(t, "app", "wf-a"))
+	mustOK(t, srv, http.MethodPost, "/v1/reconcile", `{"passes": 8}`)
+	mustOK(t, srv, http.MethodPost, "/v1/deploy", `{"workflow": `+wf+`, "network": `+n+`, "algorithm": "holm"}`)
+
+	// The legacy snapshot: this state's composite plus an "autopilot" key.
+	ts := srv.Config.Handler.(*Handler).states[tenant.DefaultName]
+	fleet, err := ts.fleet.l.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Detector == nil || len(got.Detector.Armed) == 0 {
-		t.Fatal("GET /v1/autopilot reports no persisted detector state")
+	legacy, err := json.Marshal(struct {
+		composite
+		Autopilot json.RawMessage `json:"autopilot"`
+	}{
+		composite{Fleet: fleet, Deployments: ts.deps.entries, NextDepID: ts.deps.nextID, Specs: ts.specs.set.Image()},
+		json.RawMessage(legacyAutopilotRun),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := st.Snapshot(legacy, st.LastSeq()); err != nil {
+		t.Fatal(err)
+	}
+	// The legacy record, followed by live records replay must not stop at.
+	if _, err := st.Append(recLegacyAutopilotRun, json.RawMessage(legacyAutopilotRun)); err != nil {
+		t.Fatal(err)
+	}
+	mustOK(t, srv, http.MethodPost, "/v1/deploy", `{"id": "after", "workflow": `+wf+`, "network": `+n+`, "algorithm": "fairload"}`)
+	mustOK(t, srv, http.MethodPost, "/v1/fleet/rebalance", "")
+	views := func(srv *httptest.Server) map[string]string {
+		// "passes" counts reconcile passes since boot; it is not durable.
+		status := specStatusOf(t, srv, "app")
+		delete(status, "passes")
+		spec, err := json.Marshal(status)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]string{
+			"fleet snapshot": getBody(t, srv, "/v1/fleet/snapshot"),
+			"deployments":    getBody(t, srv, "/v1/deployments"),
+			"spec status":    string(spec),
+		}
+	}
+	before := views(srv)
 	srv.Close()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	srv2, st2 := durableServer(t, dir, 0)
-	defer srv2.Close()
-	defer st2.Close()
-	mustOK(t, srv2, http.MethodPost, "/v1/autopilot", autopilotBody(t, true, `, "resume": true`))
+	st2, rec, err := store.Open(dir, store.Options{Sync: store.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(rec.Snapshot), `"autopilot"`) || !hasRecord(rec, recLegacyAutopilotRun) {
+		t.Fatal("fixture lost its legacy autopilot data before the restart")
+	}
+	h2, err := NewHandlerWith(Options{Store: st2, Recovery: rec})
+	if err != nil {
+		t.Fatalf("recovering legacy data: %v", err)
+	}
+	srv2 := httptest.NewServer(h2)
+	for name, want := range before {
+		if got := views(srv2)[name]; got != want {
+			t.Errorf("%s diverged after restart:\n got: %s\nwant: %s", name, got, want)
+		}
+	}
+	if err := h2.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	srv2.Close()
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st3, rec, err := store.Open(dir, store.Options{Sync: store.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	if strings.Contains(string(rec.Snapshot), `"autopilot"`) {
+		t.Errorf("snapshot still carries the autopilot key: %s", rec.Snapshot)
+	}
+	if hasRecord(rec, recLegacyAutopilotRun) {
+		t.Error("WAL still holds the autopilot.run record")
+	}
+}
+
+// hasRecord reports whether a recovered WAL tail holds a record of typ.
+func hasRecord(rec *store.Recovery, typ string) bool {
+	for _, r := range rec.Records {
+		if r.Type == typ {
+			return true
+		}
+	}
+	return false
 }
 
 // TestStoreStatusEndpoint covers both durability modes.

@@ -18,7 +18,8 @@ import (
 
 // TestMetricsEndpoint checks that a planning request shows up on the
 // Prometheus exposition: the engine counters and the request histogram
-// share the one obs registry.
+// share the one obs registry. The want-list covers every engine series
+// the retired /debug/vars bridge carried.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(NewHandler())
 	defer srv.Close()
@@ -50,12 +51,34 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	body, _ := io.ReadAll(mresp.Body)
 	for _, want := range []string{
-		"engine_plans_started",
-		"engine_plan_latency_fairload_count",
-		"httpapi_request_seconds_count",
+		"\nengine_plans_started ",
+		"\nengine_plans_completed ",
+		"\nengine_plans_cancelled ",
+		"\nengine_cache_hits ",
+		"\nengine_cache_misses ",
+		"\nengine_plan_latency_fairload_count ",
+		"\nhttpapi_request_seconds_count ",
 	} {
 		if !strings.Contains(string(body), want) {
-			t.Errorf("/metrics missing %q", want)
+			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+		}
+	}
+}
+
+// TestRemovedRoutesAnswer404 pins the routes the handler no longer
+// serves: the chaos and autopilot studies run from the CLIs, and
+// /metrics is the only metrics exposition.
+func TestRemovedRoutesAnswer404(t *testing.T) {
+	srv := httptest.NewServer(NewHandler())
+	defer srv.Close()
+	for _, rt := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/chaos"},
+		{http.MethodPost, "/v1/autopilot"},
+		{http.MethodGet, "/v1/autopilot"},
+		{http.MethodGet, "/debug/vars"},
+	} {
+		if resp, _ := do(t, rt.method, srv.URL+rt.path, `{}`); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", rt.method, rt.path, resp.StatusCode)
 		}
 	}
 }

@@ -47,7 +47,7 @@ var obsTenantRequests = obs.Default().Histogram("tenant.plan_seconds")
 
 // tenantState is everything the handler holds for one tenant: its
 // planner shard's engine, its durable store, its snapshot coordination
-// and its three stateful domains (fleet, autopilot, deployment ledger).
+// and its stateful domains (fleet, deployment ledger, specs).
 // One tenant's state never touches another's; the only shared pieces
 // are the per-shard engines (cache keyed by content hash, so no state
 // leaks) and the process-wide obs registry.
@@ -68,7 +68,7 @@ type tenantState struct {
 	// every state mutation (and its journal append) runs under RLock,
 	// SnapshotNow takes the write lock so it captures a quiesced state
 	// together with the covered sequence number. Lock order: snapMu →
-	// per-domain mutex (fleetState.mu / autopilotState.mu / ledger.mu) →
+	// per-domain mutex (fleetState.mu / ledger.mu) →
 	// manager.Locked's mutex → the store's internal mutex.
 	store     *store.Store
 	snapMu    sync.RWMutex
@@ -77,7 +77,6 @@ type tenantState struct {
 	snapErr   string
 
 	fleet *fleetState
-	pilot *autopilotState
 	deps  *deployLedger
 	specs *specState
 }
@@ -87,7 +86,6 @@ type tenantState struct {
 func (h *Handler) newTenantState(t *tenant.Tenant) *tenantState {
 	ts := &tenantState{h: h, t: t, eng: h.shards[t.Shard()], pipe: h.pipes[t.Shard()], store: t.Store()}
 	ts.fleet = &fleetState{ts: ts}
-	ts.pilot = &autopilotState{}
 	ts.deps = &deployLedger{}
 	ts.specs = newSpecState(ts)
 	return ts

@@ -172,21 +172,14 @@ func churn(t *testing.T, srv *httptest.Server, name string, n int) {
 			mustAs(t, name, srv, http.MethodPost, "/v1/fleet/rebalance", "")
 		}
 	}
-	mustAs(t, name, srv, http.MethodPost, "/v1/autopilot", tenantAutopilotBody(nf, wf))
-}
-
-func tenantAutopilotBody(nf, wf string) string {
-	return `{"network": ` + nf + `, "classes": [{"id": "c0", "workflow": ` + wf + `}],
-	 "traffic": {"rate": 3, "horizon": 30, "seed": 11}, "enabled": true, "seed": 11}`
 }
 
 // TestTenantIsolationUnderChurn runs two tenants' scripted histories
 // concurrently and requires each tenant's final state — fleet
-// snapshot, deployment ledger, autopilot summary — to be byte-
-// identical to a quiet reference server that ran only that tenant's
-// script. Any cross-tenant leakage (a shared fleet, a ledger entry
-// landing in the wrong namespace, detector state bleeding over) shows
-// up as a diff; run under -race this also proves the namespaces share
+// snapshot and status, deployment ledger — to be byte-identical to a
+// quiet reference server that ran only that tenant's script. Any
+// cross-tenant leakage (a shared fleet, a ledger entry landing in the
+// wrong namespace) shows up as a diff; run under -race this also proves the namespaces share
 // no unsynchronized state.
 func TestTenantIsolationUnderChurn(t *testing.T) {
 	cfg := tenant.Config{Shards: 2}
@@ -214,7 +207,7 @@ func TestTenantIsolationUnderChurn(t *testing.T) {
 			t.Fatalf("create reference %s = %d: %v", name, resp.StatusCode, out)
 		}
 		churn(t, ref, name, n)
-		for _, path := range []string{"/v1/fleet/snapshot", "/v1/fleet/status", "/v1/deployments", "/v1/autopilot"} {
+		for _, path := range []string{"/v1/fleet/snapshot", "/v1/fleet/status", "/v1/deployments"} {
 			got, want := getAs(t, name, srv, path), getAs(t, name, ref, path)
 			if got != want {
 				t.Errorf("tenant %s: %s diverged from the isolated reference\n got: %s\nwant: %s", name, path, got, want)
@@ -296,8 +289,8 @@ func TestTenantCapacityCaps(t *testing.T) {
 
 // TestTenantDurableRecoveryIndependent restarts a durable multi-tenant
 // daemon and requires every tenant to come back byte-identical from
-// its own namespace: distinct fleets, ledgers and autopilot state per
-// tenant, none of it mixed.
+// its own namespace: distinct fleets and ledgers per tenant, none of
+// it mixed.
 func TestTenantDurableRecoveryIndependent(t *testing.T) {
 	dir := t.TempDir()
 	cfg := tenant.Config{DataDir: dir, Shards: 2, Store: store.Options{Sync: store.SyncNone}}
@@ -322,7 +315,7 @@ func TestTenantDurableRecoveryIndependent(t *testing.T) {
 	before := map[string]map[string]string{}
 	for _, name := range []string{"", "acme"} {
 		before[name] = map[string]string{}
-		for _, path := range []string{"/v1/fleet/snapshot", "/v1/deployments", "/v1/autopilot"} {
+		for _, path := range []string{"/v1/fleet/snapshot", "/v1/deployments"} {
 			before[name][path] = getAs(t, name, srv, path)
 		}
 	}

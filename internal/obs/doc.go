@@ -1,7 +1,7 @@
 // Package obs is the reproduction's zero-dependency observability
 // subsystem: lightweight nested tracing, log-bucketed latency/size
 // histograms, a process-wide metric registry with Prometheus-style text
-// exposition and an expvar bridge, and a bounded flight recorder that
+// exposition (the one metrics surface), and a bounded flight recorder that
 // retains the most recent spans for post-incident forensics.
 //
 // The paper's whole evaluation rests on knowing where time goes —
